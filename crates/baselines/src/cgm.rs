@@ -22,14 +22,16 @@
 
 use std::collections::VecDeque;
 
-use besync::fault::{FaultProfile, FaultSummary, LossLane};
+use besync::delivery::Loss;
+use besync::fault::FaultProfile;
+use besync::kernel::{Events, Kernel, Model, Shape};
 use besync::report::RunReport;
 use besync_data::{Metric, ObjectId, TruthTable};
 use besync_net::Link;
 use besync_sim::rng::{self, streams};
 use besync_sim::stats::RunningStats;
-use besync_sim::{CalendarQueue, SimTime, Wave};
-use besync_workloads::{Updater, WorkloadSpec};
+use besync_sim::{SimTime, Wave};
+use besync_workloads::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -140,20 +142,19 @@ enum Estimator {
 
 /// A running CGM scheduler over a workload.
 ///
-/// Events live in a [`CalendarQueue`] on the same slot scheme the
-/// cooperative systems use, doubled because CGM has **two** independent
-/// pending events per object: slot `i` is object `i`'s next update, slot
-/// `total + i` its next poll (guarded by `poll_scheduled`, so each slot
-/// holds at most one pending event), and three singleton slots carry the
-/// re-allocation timer, the per-second tick, and the end of warm-up. The
-/// queue orders by `(time, schedule seq)` exactly like the `EventQueue`
-/// this system originally ran on, so trajectories are bit-identical —
-/// `tests/scheduler_equivalence.rs` pins the pre-port counters.
+/// Runs on the shared [`Kernel`]. CGM has **two** independent pending
+/// events per object: its next update (the object slot) and its next
+/// poll (extra slot `i`, guarded by `poll_scheduled`, so each slot holds
+/// at most one pending event); extra slot `n` carries the re-allocation
+/// timer. `tests/scheduler_equivalence.rs` pins the trajectories.
 pub struct CgmSystem {
+    kernel: Kernel<Cgm>,
+}
+
+/// The CGM poller as a kernel [`Model`].
+struct Cgm {
     cfg: CgmConfig,
     truth: TruthTable,
-    updaters: Vec<Updater>,
-    rngs: Vec<SmallRng>,
     sched_rng: SmallRng,
     true_rates: Vec<f64>,
     freqs: Vec<f64>,
@@ -164,227 +165,188 @@ pub struct CgmSystem {
     poll_scheduled: Vec<bool>,
     link: Link<()>,
     pending: VecDeque<u32>,
-    queue: CalendarQueue,
-    /// First poll slot (`total`); slots below it are update slots.
-    poll_base: u32,
-    /// Slot id of the re-allocation event (`2 * total`).
-    realloc_slot: u32,
-    /// Slot id of the per-second tick event (`2 * total + 1`).
-    tick_slot: u32,
-    /// Slot id of the end-of-warm-up event (`2 * total + 2`).
-    warmup_slot: u32,
+    /// Largest poll backlog seen.
+    max_pending: usize,
     polls: u64,
-    updates_processed: u64,
-    /// Poll-response loss lane when a fault profile with positive loss is
-    /// configured (`None` otherwise — no draws on the fault-free path).
-    loss: Option<LossLane>,
-    fault_stats: FaultSummary,
+    /// CGM polls over the same unreliable medium: of the fault classes
+    /// only poll-response loss applies.
+    loss: Loss,
 }
 
 impl CgmSystem {
     /// Builds a CGM run over the workload (sources in the layout are
     /// irrelevant to CGM, which sees a flat set of objects).
-    pub fn new(cfg: CgmConfig, mut spec: WorkloadSpec) -> Self {
+    pub fn new(cfg: CgmConfig, spec: WorkloadSpec) -> Self {
         spec.validate().expect("invalid workload spec");
         let total = spec.total_objects();
         let truth = TruthTable::new(cfg.metric, &spec.initial_values, spec.weights.clone());
         let budget = cfg.refresh_budget();
 
-        let (freqs, estimators): (Vec<f64>, Vec<Estimator>) = match cfg.variant {
-            CgmVariant::IdealCacheBased => (
-                allocate(&spec.rates, budget),
-                (0..total).map(|_| Estimator::Oracle).collect(),
-            ),
-            CgmVariant::Cgm1 => (
-                vec![budget / total as f64; total],
-                (0..total)
-                    .map(|_| Estimator::LastModified(LastModifiedEstimator::new()))
-                    .collect(),
-            ),
-            CgmVariant::Cgm2 => (
-                vec![budget / total as f64; total],
-                (0..total)
-                    .map(|_| Estimator::Binary(BinaryChangeEstimator::new()))
-                    .collect(),
-            ),
+        let freqs = match cfg.variant {
+            CgmVariant::IdealCacheBased => allocate(&spec.rates, budget),
+            _ => vec![budget / total as f64; total],
         };
+        let estimators = (0..total)
+            .map(|_| match cfg.variant {
+                CgmVariant::IdealCacheBased => Estimator::Oracle,
+                CgmVariant::Cgm1 => Estimator::LastModified(LastModifiedEstimator::new()),
+                CgmVariant::Cgm2 => Estimator::Binary(BinaryChangeEstimator::new()),
+            })
+            .collect();
 
-        let mut rngs = spec.object_rngs();
-        let mut sched_rng = rng::stream_rng(cfg.sim_seed, streams::SCHEDULER);
-        let poll_base = total as u32;
-        let realloc_slot = 2 * total as u32;
-        let tick_slot = realloc_slot + 1;
-        let warmup_slot = realloc_slot + 2;
-        // Bucket width ≈ the mean gap between consecutive events: updates
-        // plus polls (the whole refresh budget in steady state) plus the
-        // once-per-second tick.
-        let event_rate =
-            spec.rates.iter().sum::<f64>() + cfg.refresh_budget() + 1.0 / cfg.tick.max(1e-6);
-        let mut queue = CalendarQueue::new(2 * total + 3, 1.0 / event_rate);
-        // Scheduling order matters: the queue breaks same-instant ties by
-        // schedule order, and this order (warm-up, tick, realloc, then
-        // update/poll per object) is the one the pre-port trajectories
-        // were recorded under.
-        queue.schedule(warmup_slot, SimTime::new(cfg.warmup));
-        queue.schedule(tick_slot, SimTime::new(cfg.tick));
-        if !matches!(cfg.variant, CgmVariant::IdealCacheBased) {
-            queue.schedule(realloc_slot, SimTime::new(cfg.realloc_period));
-        }
-        let mut poll_scheduled = vec![false; total];
-        for obj in spec.layout.all_objects() {
-            let idx = obj.index();
-            if let Some(t0) = spec.updaters[idx].first_time(SimTime::ZERO, &mut rngs[idx]) {
-                queue.schedule(obj.0, t0);
-            }
-            if freqs[idx] > 0.0 {
-                // Random phase so periodic refreshes don't all collide.
-                let phase = sched_rng.gen_range(0.0..1.0) / freqs[idx];
-                queue.schedule(poll_base + obj.0, SimTime::new(phase.min(cfg.horizon())));
-                poll_scheduled[idx] = true;
-            }
-        }
-
-        let loss = cfg.fault.and_then(|profile| {
-            profile.validate().expect("invalid fault profile");
-            (profile.loss_prob > 0.0).then(|| LossLane::new(cfg.sim_seed, 0, profile.loss_prob))
-        });
-
-        CgmSystem {
+        // Extra slots: one poll per object plus the re-allocation timer;
+        // the polls spend the whole refresh budget in steady state.
+        let shape = Shape {
+            tick: cfg.tick,
+            warmup: cfg.warmup,
+            horizon: cfg.horizon(),
+            update_rate: spec.rates.iter().sum(),
+            extra_rate: budget,
+            extra_slots: total + 1,
+        };
+        let rngs = spec.object_rngs();
+        let model = Cgm {
             truth,
-            updaters: spec.updaters,
-            rngs,
-            sched_rng,
+            sched_rng: rng::stream_rng(cfg.sim_seed, streams::SCHEDULER),
             true_rates: spec.rates,
             freqs,
             estimators,
             last_update_time: vec![SimTime::ZERO; total],
             last_poll_time: vec![SimTime::ZERO; total],
             last_poll_updates: vec![0; total],
-            poll_scheduled,
+            poll_scheduled: vec![false; total],
             link: Link::new(Wave::fluctuating(
                 cfg.cache_bandwidth_mean,
                 cfg.bandwidth_change_rate,
                 0.0,
             )),
             pending: VecDeque::new(),
-            queue,
-            poll_base,
-            realloc_slot,
-            tick_slot,
-            warmup_slot,
+            max_pending: 0,
             polls: 0,
-            updates_processed: 0,
-            loss,
-            fault_stats: FaultSummary::default(),
+            loss: Loss::new(cfg.fault.as_ref(), cfg.sim_seed),
             cfg,
+        };
+        CgmSystem {
+            kernel: Kernel::new(model, shape, spec.updaters, rngs),
         }
     }
 
     /// Runs to the horizon and reports.
     pub fn run(mut self) -> RunReport {
-        let horizon = SimTime::new(self.cfg.horizon());
-        while let Some((now, slot)) = self.queue.pop_at_or_before(horizon) {
-            if slot < self.poll_base {
-                self.on_update(now, ObjectId(slot));
-            } else if slot < self.realloc_slot {
-                self.on_poll_due(now, ObjectId(slot - self.poll_base));
-            } else if slot == self.realloc_slot {
-                self.on_realloc(now);
-            } else if slot == self.tick_slot {
-                self.on_tick(now);
-            } else {
-                debug_assert_eq!(slot, self.warmup_slot);
-                self.truth.begin_measurement(now);
-            }
-        }
+        let horizon = self.kernel.run();
+        let m = &self.kernel.model;
+        let oracle = matches!(m.cfg.variant, CgmVariant::IdealCacheBased);
         RunReport {
-            divergence: self.truth.report(horizon),
-            refreshes_sent: self.polls,
-            refreshes_delivered: self.polls - self.fault_stats.lost_refreshes,
+            divergence: m.truth.report(horizon),
+            refreshes_sent: m.polls,
+            refreshes_delivered: m.polls - m.loss.lost(),
             feedback_messages: 0,
-            polls_sent: if matches!(self.cfg.variant, CgmVariant::IdealCacheBased) {
-                0
-            } else {
-                self.polls
-            },
-            max_cache_queue: self.pending.len(),
+            polls_sent: if oracle { 0 } else { m.polls },
+            max_cache_queue: m.max_pending,
             mean_queue_wait: 0.0,
             threshold_stats: RunningStats::new(),
-            updates_processed: self.updates_processed,
-            faults: self.fault_stats,
+            updates_processed: self.kernel.updates_processed(),
+            faults: m.loss.summary(),
         }
     }
+}
 
-    fn on_update(&mut self, now: SimTime, obj: ObjectId) {
-        self.updates_processed += 1;
-        let idx = obj.index();
-        let current = self.truth.truth(obj).source_value;
-        let (value, next) = self.updaters[idx].fire(now, current, &mut self.rngs[idx]);
+impl Model for Cgm {
+    #[inline]
+    fn value(&self, obj: ObjectId) -> f64 {
+        self.truth.truth(obj).source_value
+    }
+
+    fn on_update(&mut self, now: SimTime, obj: ObjectId, value: f64) {
         self.truth.source_update(now, obj, value);
-        self.last_update_time[idx] = now;
-        if let Some(t) = next {
-            self.queue.schedule(obj.0, t);
+        self.last_update_time[obj.index()] = now;
+    }
+
+    fn on_tick(&mut self, now: SimTime, events: &mut Events) {
+        let cost = self.cfg.variant.cost_per_refresh();
+        while !self.pending.is_empty() && self.link.try_consume(now, cost) {
+            let obj = ObjectId(self.pending.pop_front().expect("checked non-empty"));
+            self.do_poll(now, obj);
+            self.schedule_next_poll(now, obj, events);
         }
     }
 
-    fn on_poll_due(&mut self, now: SimTime, obj: ObjectId) {
+    fn on_warmup(&mut self, now: SimTime) {
+        self.truth.begin_measurement(now);
+    }
+
+    fn on_extra(&mut self, now: SimTime, k: u32, events: &mut Events) {
+        if (k as usize) < self.freqs.len() {
+            self.on_poll_due(now, ObjectId(k), events);
+        } else {
+            self.on_realloc(now, events);
+        }
+    }
+
+    /// Scheduling order matters: the queue breaks same-instant ties by
+    /// schedule order, and this order (warm-up, tick, realloc, then
+    /// update/poll per object) is the one the pinned trajectories were
+    /// recorded under.
+    fn schedule_initial(&mut self, events: &mut Events) {
+        let n = self.freqs.len() as u32;
+        if !matches!(self.cfg.variant, CgmVariant::IdealCacheBased) {
+            events.schedule_extra(n, SimTime::new(self.cfg.realloc_period));
+        }
+        for i in 0..n {
+            events.schedule_first_update(i);
+            let f = self.freqs[i as usize];
+            if f > 0.0 {
+                // Random phase so periodic refreshes don't all collide.
+                let phase = self.sched_rng.gen_range(0.0..1.0) / f;
+                events.schedule_extra(i, SimTime::new(phase.min(self.cfg.horizon())));
+                self.poll_scheduled[i as usize] = true;
+            }
+        }
+    }
+}
+
+impl Cgm {
+    fn on_poll_due(&mut self, now: SimTime, obj: ObjectId, events: &mut Events) {
         let idx = obj.index();
         self.poll_scheduled[idx] = false;
         let cost = self.cfg.variant.cost_per_refresh();
         if self.link.try_consume(now, cost) {
             self.do_poll(now, obj);
-            self.schedule_next_poll(now, obj);
+            self.schedule_next_poll(now, obj, events);
         } else {
             // Not enough bandwidth right now: wait in FIFO order for the
             // tick drain (a poll "queued in the network").
             self.pending.push_back(obj.0);
+            self.max_pending = self.max_pending.max(self.pending.len());
         }
-    }
-
-    fn on_tick(&mut self, now: SimTime) {
-        let cost = self.cfg.variant.cost_per_refresh();
-        while !self.pending.is_empty() && self.link.try_consume(now, cost) {
-            let obj = ObjectId(self.pending.pop_front().expect("checked non-empty"));
-            self.do_poll(now, obj);
-            self.schedule_next_poll(now, obj);
-        }
-        self.queue.schedule(self.tick_slot, now + self.cfg.tick);
     }
 
     fn do_poll(&mut self, now: SimTime, obj: ObjectId) {
         // A lost poll response burns the round trip but teaches the cache
         // nothing: no estimator observation, no refresh, and the poll
         // bookkeeping stays put so the next response covers the gap.
-        if self.loss.as_mut().is_some_and(|l| l.draw()) {
-            self.fault_stats.lost_refreshes += 1;
+        if self.loss.draw() {
             self.polls += 1;
             return;
         }
         let idx = obj.index();
         let interval = (now - self.last_poll_time[idx]).max(1e-9);
         let changed = self.truth.truth(obj).source_updates > self.last_poll_updates[idx];
+        // CGM1 learns the last-modified time; CGM2 only that a change
+        // happened, placed mid-interval.
+        let age = match self.estimators[idx] {
+            Estimator::Binary(_) => interval / 2.0,
+            _ => now - self.last_update_time[idx],
+        };
+        let obs = if changed {
+            ChangeObservation::Changed { age }
+        } else {
+            ChangeObservation::Unchanged
+        };
         match &mut self.estimators[idx] {
             Estimator::Oracle => {}
-            Estimator::LastModified(e) => {
-                let obs = if changed {
-                    ChangeObservation::Changed {
-                        age: now - self.last_update_time[idx],
-                    }
-                } else {
-                    ChangeObservation::Unchanged
-                };
-                e.observe(interval, obs);
-            }
-            Estimator::Binary(e) => {
-                let obs = if changed {
-                    ChangeObservation::Changed {
-                        age: interval / 2.0,
-                    }
-                } else {
-                    ChangeObservation::Unchanged
-                };
-                e.observe(interval, obs);
-            }
+            Estimator::LastModified(e) => e.observe(interval, obs),
+            Estimator::Binary(e) => e.observe(interval, obs),
         }
         // The poll response carries the current value: a perfectly fresh
         // refresh (propagation neglected, as in the paper).
@@ -394,16 +356,16 @@ impl CgmSystem {
         self.polls += 1;
     }
 
-    fn schedule_next_poll(&mut self, now: SimTime, obj: ObjectId) {
+    fn schedule_next_poll(&mut self, now: SimTime, obj: ObjectId, events: &mut Events) {
         let idx = obj.index();
         let f = self.freqs[idx];
         if f > 0.0 && !self.poll_scheduled[idx] {
-            self.queue.schedule(self.poll_base + obj.0, now + 1.0 / f);
+            events.schedule_extra(obj.0, now + 1.0 / f);
             self.poll_scheduled[idx] = true;
         }
     }
 
-    fn on_realloc(&mut self, now: SimTime) {
+    fn on_realloc(&mut self, now: SimTime, events: &mut Events) {
         let budget = self.cfg.refresh_budget();
         let n = self.freqs.len();
         let fallback = budget / n as f64;
@@ -441,12 +403,11 @@ impl CgmSystem {
             if self.freqs[i] > 0.0 && !self.poll_scheduled[i] && !self.pending.contains(&(i as u32))
             {
                 let phase = self.sched_rng.gen_range(0.0..1.0) / self.freqs[i];
-                self.queue.schedule(self.poll_base + i as u32, now + phase);
+                events.schedule_extra(i as u32, now + phase);
                 self.poll_scheduled[i] = true;
             }
         }
-        self.queue
-            .schedule(self.realloc_slot, now + self.cfg.realloc_period);
+        events.schedule_extra(n as u32, now + self.cfg.realloc_period);
     }
 }
 
@@ -537,6 +498,15 @@ mod tests {
         let b = CgmSystem::new(cfg(CgmVariant::Cgm1, 25.0), fig6_workload(5, 10, 6)).run();
         assert_eq!(a.mean_divergence(), b.mean_divergence());
         assert_eq!(a.polls_sent, b.polls_sent);
+    }
+
+    #[test]
+    fn starved_polls_report_their_peak_backlog() {
+        // Polls outrun the bandwidth between ticks, so some wait for the
+        // tick drain; the report carries the largest backlog seen, not
+        // the backlog left when the run ends.
+        let r = CgmSystem::new(cfg(CgmVariant::Cgm2, 2.0), fig6_workload(5, 10, 3)).run();
+        assert!(r.max_cache_queue > 0, "peak backlog {}", r.max_cache_queue);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   §5, and [`ideal::IdealSystem`] implements the omniscient scheduler of
 //!   §3.3 that defines "theoretically achievable" divergence in Figures
 //!   4–6. Both — plus the §7 [`competitive::CompetitiveSystem`] and the
-//!   CGM baselines in `besync_baselines` — run on the same
-//!   `CalendarQueue` + indexed-heap scheduler stack.
+//!   CGM baselines in `besync_baselines` — are models driven by the one
+//!   event loop in [`kernel`]; the systems that send refresh messages
+//!   deliver them through [`delivery`].
 //!
 //! # Quick example
 //!
@@ -50,9 +51,11 @@
 pub mod cache;
 pub mod competitive;
 pub mod config;
+pub mod delivery;
 pub mod fault;
 pub mod heap;
 pub mod ideal;
+pub mod kernel;
 pub mod priority;
 pub mod report;
 pub mod source;

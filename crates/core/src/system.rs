@@ -18,125 +18,106 @@
 //! sources reason optimistically from their last *sent* snapshot, while
 //! the truth reflects what actually reached the cache and when.
 
-use std::collections::VecDeque;
-
 use besync_data::ids::ObjectLayout;
 use besync_data::{ObjectId, SourceId, TruthTable};
 use besync_net::Link;
 use besync_sim::stats::RunningStats;
-use besync_sim::{CalendarQueue, SimTime};
-use besync_workloads::{Updater, WorkloadSpec};
-use rand::rngs::SmallRng;
+use besync_sim::SimTime;
+use besync_workloads::WorkloadSpec;
 
-use crate::cache::CacheRuntime;
+use crate::competitive::Competition;
 use crate::config::SystemConfig;
-use crate::fault::{
-    Episode, EpisodeSchedule, FaultProfile, FaultSummary, LossLane, RecoveryPolicy,
-};
+use crate::delivery::Delivery;
+pub use crate::delivery::RefreshMsg;
+use crate::fault::{Episode, EpisodeSchedule, FaultProfile, FaultSummary, RecoveryPolicy};
+use crate::kernel::{Events, Kernel, Model, Shape};
 use crate::report::RunReport;
-use crate::source::{Snapshot, SourceRuntime};
+use crate::source::SourceRuntime;
 
-/// A refresh message in flight from a source to the cache.
-#[derive(Debug, Clone, Copy)]
-pub struct RefreshMsg {
-    /// The object being refreshed.
-    pub obj: ObjectId,
-    /// Originating source.
-    pub src: SourceId,
-    /// The (send-time) snapshot of the object.
-    pub snapshot: Snapshot,
-    /// The source's local threshold, piggybacked (§5).
-    pub threshold: f64,
-}
-
-/// Runtime state of the simulated-world fault layer. Present only when
-/// the config carries a [`FaultProfile`]; with `None` the fault-free
-/// path takes no extra queue slots and draws no fault randomness, so it
-/// stays bit-identical to the pre-fault tree.
+/// Runtime state of the outage and crash fault classes. Present only
+/// when the config carries a [`FaultProfile`]; with `None` the run takes
+/// no extra slots and draws no fault randomness.
 struct FaultLayer {
     profile: FaultProfile,
-    /// Counter-hashed per-delivery loss decisions.
-    loss: LossLane,
-    /// Cache-link outage windows (lazily generated).
-    outages: EpisodeSchedule,
-    /// The window scheduled into `outage_slot`; its start has fired iff
-    /// `outage_active`.
-    outage: Option<Episode>,
-    outage_active: bool,
-    /// Divergence-integral probe taken at outage start.
-    outage_epoch_start: f64,
-    /// Queue slot carrying outage start/end transitions
-    /// (`total_objects + 2`).
-    outage_slot: u32,
-    /// First per-source crash slot (`total_objects + 3 + sid`).
-    crash_slot_base: u32,
-    crash: Vec<CrashState>,
-    /// Lost refreshes awaiting link-layer retransmission. The deadline
-    /// is constant, so push order is due order.
-    retries: VecDeque<(SimTime, RefreshMsg)>,
-    /// Cumulative refreshes delivered per source — the ack counters the
-    /// cache piggybacks on §5 feedback when the profile is fault-aware.
-    delivered_per_source: Vec<u64>,
+    /// The cache link's outage windows, on extra slot 0.
+    outage: Windows,
+    /// Source `sid`'s crash windows, on extra slot `1 + sid`.
+    crash: Vec<Windows>,
 }
 
-/// Crash/restart state of one source.
-struct CrashState {
+/// A lazily generated sequence of fault windows on one extra slot.
+struct Windows {
     sched: EpisodeSchedule,
-    /// The episode scheduled into this source's crash slot; its start
-    /// has fired iff `down`.
+    /// The window in the slot; its start has fired iff `open`.
     episode: Option<Episode>,
-    down: bool,
-    /// Divergence-integral probe of this source's objects at crash time.
+    open: bool,
+    /// Divergence-integral probe taken when the window opened.
     epoch_start: f64,
+}
+
+impl Windows {
+    fn new(mut sched: EpisodeSchedule) -> Self {
+        Windows {
+            episode: sched.next_episode(),
+            sched,
+            open: false,
+            epoch_start: 0.0,
+        }
+    }
+
+    /// Flips the window at a transition of extra slot `k` and schedules
+    /// the next one. Opening returns the window's length within the
+    /// horizon; closing adds the epoch's divergence to `epoch_divergence`.
+    fn flip(
+        &mut self,
+        k: u32,
+        integral: f64,
+        horizon: f64,
+        events: &mut Events,
+        epoch_divergence: &mut f64,
+    ) -> Option<f64> {
+        if !self.open {
+            let e = self.episode.expect("window opened without an episode");
+            self.open = true;
+            self.epoch_start = integral;
+            events.schedule_extra(k, SimTime::new(e.end));
+            return Some(e.end.min(horizon) - e.start);
+        }
+        self.open = false;
+        *epoch_divergence += integral - self.epoch_start;
+        self.episode = self.sched.next_episode();
+        if let Some(e) = self.episode {
+            events.schedule_extra(k, SimTime::new(e.start));
+        }
+        None
+    }
+}
+
+/// The cooperative protocol as a kernel [`Model`]. A §7 competitive run
+/// is this model plus a [`Competition`].
+pub(crate) struct Coop {
+    cfg: SystemConfig,
+    layout: ObjectLayout,
+    /// Ground truth under the cache's weights (the run's objective) and,
+    /// in §7 runs, under the sources' weights.
+    pub(crate) truths: Vec<TruthTable>,
+    sources: Vec<SourceRuntime>,
+    pub(crate) delivery: Delivery,
+    /// Source owning each object (precomputed: the per-event division in
+    /// `ObjectLayout::source_of` is measurable at millions of events/sec).
+    obj_source: Vec<u32>,
+    /// Reusable feedback target buffer (zero steady-state allocation).
+    feedback_targets: Vec<u32>,
+    faults: Option<FaultLayer>,
+    pub(crate) competition: Option<Competition>,
 }
 
 /// The full cooperative system of the paper, ready to run.
 ///
-/// Events live in a [`CalendarQueue`]: object `i`'s (single) pending
-/// update occupies slot `i`, and two extra slots carry the per-second tick
-/// and the end-of-warm-up marker. The bucket width is sized from the
-/// workload's aggregate update rate, so the dominant update→next-update
-/// pattern costs an O(1) bucket push plus a short scan of one hot bucket —
-/// no O(log n) heap sift, no pointer-chasing through cold cache lines. The
-/// queue orders by `(time, schedule seq)` exactly like the generic
-/// [`besync_sim::EventQueue`], so trajectories are bit-identical to the
-/// heap-based representation.
+/// Runs on the shared [`Kernel`]; with a fault profile it adds one extra
+/// slot for the link's outage windows and one crash slot per source.
 pub struct CoopSystem {
-    cfg: SystemConfig,
-    layout: ObjectLayout,
-    truth: TruthTable,
-    sources: Vec<SourceRuntime>,
-    cache_link: Link<RefreshMsg>,
-    cache: CacheRuntime,
-    queue: CalendarQueue,
-    /// Slot id of the per-second tick event (`total_objects`).
-    tick_slot: u32,
-    /// Slot id of the end-of-warm-up event (`total_objects + 1`).
-    warmup_slot: u32,
-    /// Source owning each object (precomputed: the per-event division in
-    /// `ObjectLayout::source_of` is measurable at millions of events/sec).
-    obj_source: Vec<u32>,
-    /// Each object's updater and its RNG stream, kept adjacent: `fire`
-    /// touches both on every event, so one cache line beats two.
-    updaters: Vec<(Updater, SmallRng)>,
-    scratch: Vec<RefreshMsg>,
-    /// Reusable feedback target buffer (zero steady-state allocation).
-    feedback_targets: Vec<u32>,
-    refreshes_delivered: u64,
-    updates_processed: u64,
-    /// Refreshes delivered since the last tick (feeds the utilization
-    /// estimate below).
-    deliveries_this_tick: u64,
-    /// EWMA of refresh deliveries per tick: the cache's estimate of the
-    /// bandwidth refreshes will need, reserved before spending "excess"
-    /// on feedback. The paper's cache "continually monitors cache-side
-    /// bandwidth utilization" (§5); reserving the running utilization is
-    /// what keeps feedback from stealing bandwidth that refreshes arriving
-    /// later in the tick would have used.
-    delivery_rate_ewma: f64,
-    /// The simulated-world fault layer, `None` on the fault-free path.
-    faults: Option<FaultLayer>,
-    fault_stats: FaultSummary,
+    kernel: Kernel<Coop>,
 }
 
 impl CoopSystem {
@@ -147,37 +128,204 @@ impl CoopSystem {
     /// Panics if the workload spec is internally inconsistent or if
     /// `bound_rates` is required/mismatched (see
     /// [`crate::priority::PolicyKind::Bound`]).
-    pub fn new(cfg: SystemConfig, mut spec: WorkloadSpec) -> Self {
+    pub fn new(cfg: SystemConfig, spec: WorkloadSpec) -> Self {
+        CoopSystem {
+            kernel: Coop::kernel(cfg, spec, None),
+        }
+    }
+
+    /// Runs to the configured horizon and reports.
+    pub fn run(mut self) -> RunReport {
+        self.kernel.run();
+        self.into_report()
+    }
+
+    /// Processes every event at or before `t`, or at or before the
+    /// horizon if `t` lies beyond it (the simulation can then be
+    /// inspected mid-run and resumed — used by tests and benchmarks).
+    pub fn run_until(&mut self, t: SimTime) {
+        self.kernel.run_until(t);
+    }
+
+    /// Finishes a stepped run: accounts divergence up to the configured
+    /// horizon and reports, exactly as [`CoopSystem::run`] would.
+    pub fn into_report(self) -> RunReport {
+        self.kernel.report()
+    }
+
+    /// The configured end of simulated time.
+    pub fn horizon(&self) -> SimTime {
+        self.kernel.horizon()
+    }
+
+    /// Read access to the per-source runtimes (tests, diagnostics).
+    pub fn sources(&self) -> &[SourceRuntime] {
+        &self.kernel.model.sources
+    }
+
+    /// How objects are laid out over sources.
+    pub fn layout(&self) -> ObjectLayout {
+        self.kernel.model.layout
+    }
+
+    /// The ground truth (for inspection mid-construction or in tests).
+    pub fn truth(&self) -> &TruthTable {
+        &self.kernel.model.truths[0]
+    }
+}
+
+impl Kernel<Coop> {
+    /// The run's report, with divergence accounted up to the horizon.
+    pub(crate) fn report(&self) -> RunReport {
+        let (m, mut threshold_stats) = (&self.model, RunningStats::new());
+        for s in &m.sources {
+            threshold_stats.push(s.threshold.value());
+        }
+        let link = m.delivery.link.stats();
+        RunReport {
+            divergence: m.truths[0].report(self.horizon()),
+            refreshes_sent: m.sources.iter().map(|s| s.sends).sum(),
+            refreshes_delivered: m.delivery.delivered,
+            feedback_messages: m.delivery.cache.feedback_sent,
+            polls_sent: 0,
+            max_cache_queue: link.max_queue,
+            mean_queue_wait: link.total_wait / (link.delivered.max(1) as f64),
+            threshold_stats,
+            updates_processed: self.updates_processed(),
+            faults: FaultSummary {
+                lost_refreshes: m.delivery.loss.lost(),
+                ..m.delivery.faults
+            },
+        }
+    }
+}
+
+impl Model for Coop {
+    #[inline]
+    fn value(&self, obj: ObjectId) -> f64 {
+        let source = &self.sources[self.obj_source[obj.index()] as usize];
+        source.state(source.local(obj)).value
+    }
+
+    #[inline]
+    fn on_update(&mut self, now: SimTime, obj: ObjectId, value: f64) {
+        let sid = self.obj_source[obj.index()] as usize;
+        let local = self.sources[sid].local(obj);
+        let weight = self.truths[0].source_update(now, obj, value);
+        for truth in &mut self.truths[1..] {
+            truth.source_update(now, obj, value);
+        }
+        if self.source_down(sid) {
+            // The data changed, but the sync agent is down: track the
+            // state silently, quote nothing, send nothing. Divergence
+            // accrues against the live truth.
+            self.sources[sid].record_update_unquoted(now, local, value);
+            self.delivery.faults.missed_updates += 1;
+            return;
+        }
+        self.sources[sid].record_update_weighted(now, local, value, weight);
+        if let Some(c) = &mut self.competition {
+            c.quote(now, &self.sources[sid], local);
+        }
+        // §3.4: "sources have direct knowledge of update times and decide
+        // whether to refresh immediately after each update".
+        self.attempt_sends(now, sid);
+    }
+
+    fn on_tick(&mut self, now: SimTime, _events: &mut Events) {
+        // 1) Deliver queued refreshes as capacity allows, then re-offer
+        //    lost refreshes whose retransmit deadline has passed.
+        self.delivery.service(now, &mut self.truths);
+        self.retry(now);
+
+        // 2) Time-dependent policies (Bound) need fresh quotes each tick.
+        if !self.cfg.policy.piecewise_constant() {
+            for sid in 0..self.sources.len() {
+                if !self.source_down(sid) {
+                    self.sources[sid].requote_all(now);
+                }
+            }
+        }
+
+        // 3) §7 source allocations come first, then each source ships
+        //    what its credit and threshold allow.
+        if let Some(c) = &mut self.competition {
+            c.allocation_sends(now, &mut self.sources, &mut self.delivery, &mut self.truths);
+        }
+        for sid in 0..self.sources.len() {
+            self.attempt_sends(now, sid);
+        }
+
+        // 4) Spend genuine surplus on positive feedback (§5), aimed at
+        //    the highest thresholds.
+        self.send_feedback(now);
+    }
+
+    fn on_warmup(&mut self, now: SimTime) {
+        for truth in &mut self.truths {
+            truth.begin_measurement(now);
+        }
+    }
+
+    fn on_extra(&mut self, now: SimTime, k: u32, events: &mut Events) {
+        match k {
+            0 => self.on_outage_transition(now, events),
+            _ => self.on_crash_transition(now, k as usize - 1, events),
+        }
+    }
+
+    fn schedule_initial(&mut self, events: &mut Events) {
+        events.schedule_first_updates();
+        let Some(fl) = &self.faults else { return };
+        for (k, w) in std::iter::once(&fl.outage).chain(&fl.crash).enumerate() {
+            if let Some(e) = w.episode {
+                events.schedule_extra(k as u32, SimTime::new(e.start));
+            }
+        }
+    }
+}
+
+impl Coop {
+    /// Builds a cooperative run's kernel. A §7 run passes its
+    /// [`Competition`] and source-weighted truth; it takes no bound rates
+    /// and none of the outage, crash or fault-aware machinery.
+    pub(crate) fn kernel(
+        cfg: SystemConfig,
+        mut spec: WorkloadSpec,
+        competition: Option<(Competition, TruthTable)>,
+    ) -> Kernel<Coop> {
         spec.validate().expect("invalid workload spec");
         let layout = spec.layout;
         let m = layout.sources();
         let truth = TruthTable::new(cfg.metric, &spec.initial_values, spec.weights.clone());
+        let mut truths = vec![truth];
+        let (competition, bound_rates, fault) = match competition {
+            Some((c, source_truth)) => {
+                truths.push(source_truth);
+                (Some(c), None, None)
+            }
+            None => (None, cfg.bound_rates.as_deref(), cfg.fault),
+        };
+        // Summed before the sources consume the rate pool.
+        let update_rate = spec.rates.iter().sum::<f64>();
+
+        // The sources take the spec's weight/rate pools rather than
+        // copying slices out of them: at 1M objects an extra transient
+        // copy of each pool is tens of megabytes of peak RSS. Splitting
+        // back-to-front makes each `split_off` O(objects-per-source), and
+        // construction observes nothing time-dependent, so the reversed
+        // build is bit-identical.
+        let per_source = layout.objects_per_source();
         let tparams = cfg.threshold_params(m);
-
-        // Bucket width ≈ the mean gap between consecutive events
-        // (aggregate update rate plus the once-per-second tick), the
-        // occupancy-one sweet spot for a calendar queue. Summed before
-        // the rate pool is consumed below.
-        let event_rate = spec.rates.iter().sum::<f64>() + 1.0 / cfg.tick.max(1e-6);
-
-        // The sources take ownership of the spec's weight/rate pools
-        // rather than copying slices out of them: at the 1M-object
-        // `mega` scale the extra transient copy of each pool is tens of
-        // megabytes of peak RSS. Splitting back-to-front makes each
-        // `split_off` O(objects-per-source), and construction order
-        // doesn't observe anything time-dependent, so reversing at the
-        // end leaves every source bit-identical to the slice-copy build.
         let mut weight_pool = std::mem::take(&mut spec.weights);
         let mut rate_pool = std::mem::take(&mut spec.rates);
         let mut sources = Vec::with_capacity(m as usize);
         for sid in (0..m).rev() {
-            let base = sid * layout.objects_per_source();
-            let lo = base as usize;
-            let hi = lo + layout.objects_per_source() as usize;
-            let bound_rates = cfg.bound_rates.as_ref().map(|all| all[lo..hi].to_vec());
+            let lo = (sid * per_source) as usize;
+            let hi = lo + per_source as usize;
             sources.push(SourceRuntime::new(
                 SourceId(sid),
-                base,
+                sid * per_source,
                 &spec.initial_values[lo..hi],
                 weight_pool.split_off(lo),
                 rate_pool.split_off(lo),
@@ -186,320 +334,95 @@ impl CoopSystem {
                 cfg.metric,
                 cfg.policy,
                 cfg.estimator,
-                bound_rates,
+                bound_rates.map(|all| all[lo..hi].to_vec()),
                 SimTime::ZERO,
             ));
         }
         sources.reverse();
 
-        let cache_link = Link::new(cfg.cache_wave());
-        let cache = CacheRuntime::new(
-            m,
-            cfg.initial_threshold,
-            cfg.feedback_targeting,
-            cfg.sim_seed,
-        );
-
-        let rngs = spec.object_rngs();
-        let total = spec.total_objects();
-        let tick_slot = total as u32;
-        let warmup_slot = total as u32 + 1;
-        // A fault profile needs exact-time transitions: one slot for the
-        // shared-link outage window plus one crash slot per source. With
-        // no profile the queue is constructed exactly as before.
-        let faults = cfg.fault.map(|profile| {
-            profile.validate().expect("invalid fault profile");
-            let crash = (0..m)
-                .map(|sid| {
-                    let mut sched = EpisodeSchedule::crashes(cfg.sim_seed, sid, &profile);
-                    let episode = sched.next_episode();
-                    CrashState {
-                        sched,
-                        episode,
-                        down: false,
-                        epoch_start: 0.0,
-                    }
-                })
-                .collect();
-            let mut outages = EpisodeSchedule::outages(cfg.sim_seed, &profile);
-            let outage = outages.next_episode();
-            FaultLayer {
-                loss: LossLane::new(cfg.sim_seed, 0, profile.loss_prob),
-                profile,
-                outages,
-                outage,
-                outage_active: false,
-                outage_epoch_start: 0.0,
-                outage_slot: total as u32 + 2,
-                crash_slot_base: total as u32 + 3,
-                crash,
-                retries: VecDeque::new(),
-                delivered_per_source: vec![0; m as usize],
-            }
+        let faults = fault.map(|profile| FaultLayer {
+            outage: Windows::new(EpisodeSchedule::outages(cfg.sim_seed, &profile)),
+            crash: (0..m)
+                .map(|sid| Windows::new(EpisodeSchedule::crashes(cfg.sim_seed, sid, &profile)))
+                .collect(),
+            profile,
         });
         // Fault-aware scheduling: each source prices its quotes by an
-        // estimated delivery probability, fed by the cache's acks. The
+        // estimated delivery probability fed by the cache's acks. The
         // estimator starts at 1.0, so priorities are unchanged until the
-        // first ack arrives; without `aware` no estimator exists and the
-        // priority path is bit-identical.
-        if let Some(fl) = &faults {
-            if fl.profile.aware {
-                for s in &mut sources {
-                    s.enable_delivery_estimator(cfg.sim_seed);
-                }
+        // first ack arrives.
+        if faults.as_ref().is_some_and(|fl| fl.profile.aware) {
+            for s in &mut sources {
+                s.enable_delivery_estimator(cfg.sim_seed);
             }
         }
-        let slots = match &faults {
-            None => total + 2,
-            Some(_) => total + 3 + m as usize,
+        let shape = Shape {
+            extra_slots: faults.as_ref().map_or(0, |_| 1 + m as usize),
+            ..Shape::of(&cfg, update_rate)
         };
-        let mut queue = CalendarQueue::new(slots, 1.0 / event_rate);
-        // Scheduling order matters: the queue breaks same-instant ties by
-        // schedule order, and this order (warm-up, tick, objects) is the
-        // one the golden trajectories were recorded under.
-        queue.schedule(warmup_slot, SimTime::new(cfg.warmup));
-        queue.schedule(tick_slot, SimTime::new(cfg.tick));
-        let mut updaters: Vec<(Updater, SmallRng)> = spec.updaters.into_iter().zip(rngs).collect();
-        for obj in layout.all_objects() {
-            let idx = obj.index();
-            let (updater, rng) = &mut updaters[idx];
-            if let Some(t0) = updater.first_time(SimTime::ZERO, rng) {
-                queue.schedule(obj.0, t0);
-            }
-        }
-        let obj_source = layout
-            .all_objects()
-            .map(|o| layout.source_of(o).0)
-            .collect();
-        if let Some(fl) = &faults {
-            if let Some(e) = fl.outage {
-                queue.schedule(fl.outage_slot, SimTime::new(e.start));
-            }
-            for (sid, cs) in fl.crash.iter().enumerate() {
-                if let Some(e) = cs.episode {
-                    queue.schedule(fl.crash_slot_base + sid as u32, SimTime::new(e.start));
-                }
-            }
-        }
-
-        CoopSystem {
+        let rngs = spec.object_rngs();
+        let model = Coop {
+            obj_source: layout
+                .all_objects()
+                .map(|o| layout.source_of(o).0)
+                .collect(),
+            delivery: Delivery::new(&cfg, m),
             cfg,
             layout,
-            truth,
+            truths,
             sources,
-            cache_link,
-            cache,
-            queue,
-            tick_slot,
-            warmup_slot,
-            obj_source,
-            updaters,
-            scratch: Vec::new(),
             feedback_targets: Vec::new(),
-            refreshes_delivered: 0,
-            updates_processed: 0,
-            deliveries_this_tick: 0,
-            delivery_rate_ewma: 0.0,
             faults,
-            fault_stats: FaultSummary::default(),
-        }
-    }
-
-    /// Runs to the configured horizon and reports.
-    pub fn run(mut self) -> RunReport {
-        let horizon = SimTime::new(self.cfg.horizon());
-        self.run_until(horizon);
-        self.report(horizon)
-    }
-
-    /// Processes every event at or before `t` (the simulation can then be
-    /// inspected mid-run and resumed — used by tests and benchmarks).
-    pub fn run_until(&mut self, t: SimTime) {
-        while let Some((now, slot)) = self.queue.pop_at_or_before(t) {
-            if slot < self.tick_slot {
-                // An object update — by far the dominant event.
-                if let Some(next) = self.on_update(now, ObjectId(slot)) {
-                    self.queue.schedule(slot, next);
-                }
-            } else if slot == self.tick_slot {
-                self.on_tick(now);
-            } else if slot == self.warmup_slot {
-                self.truth.begin_measurement(now);
-            } else {
-                // Fault transitions only exist when a profile is set.
-                self.on_fault_event(now, slot);
-            }
-        }
-    }
-
-    /// Finishes a stepped run: accounts divergence up to the configured
-    /// horizon and reports, exactly as [`CoopSystem::run`] would.
-    pub fn into_report(self) -> RunReport {
-        let horizon = SimTime::new(self.cfg.horizon());
-        self.report(horizon)
-    }
-
-    /// The configured end of simulated time.
-    pub fn horizon(&self) -> SimTime {
-        SimTime::new(self.cfg.horizon())
-    }
-
-    /// Read access to the per-source runtimes (tests, diagnostics).
-    pub fn sources(&self) -> &[SourceRuntime] {
-        &self.sources
-    }
-
-    /// How objects are laid out over sources.
-    pub fn layout(&self) -> ObjectLayout {
-        self.layout
-    }
-
-    /// The ground truth (for inspection mid-construction or in tests).
-    pub fn truth(&self) -> &TruthTable {
-        &self.truth
-    }
-
-    /// Handles one object update and returns the time of that object's
-    /// next update, if any. Does NOT touch the event queue — the caller
-    /// reschedules the slot in place.
-    fn on_update(&mut self, now: SimTime, obj: ObjectId) -> Option<SimTime> {
-        self.updates_processed += 1;
-        let idx = obj.index();
-        let sid = self.obj_source[idx] as usize;
-        let source = &mut self.sources[sid];
-        let local = source.local(obj);
-        let current = source.state(local).value;
-        let (updater, rng) = &mut self.updaters[idx];
-        let (value, next) = updater.fire(now, current, rng);
-        let weight = self.truth.source_update(now, obj, value);
-        if self.source_down(sid) {
-            // The data changed, but the sync agent is down: track the
-            // state silently, quote nothing, send nothing. Divergence
-            // accrues against the live truth.
-            self.sources[sid].record_update_unquoted(now, local, value);
-            self.fault_stats.missed_updates += 1;
-            return next;
-        }
-        let source = &mut self.sources[sid];
-        source.record_update_weighted(now, local, value, weight);
-        // §3.4: "sources have direct knowledge of update times and decide
-        // whether to refresh immediately after each update".
-        self.attempt_sends(now, sid);
-        next
+            competition,
+        };
+        Kernel::new(model, shape, spec.updaters, rngs)
     }
 
     /// Whether source `sid`'s sync agent is currently crashed.
     #[inline]
     fn source_down(&self, sid: usize) -> bool {
-        match &self.faults {
-            Some(fl) => fl.crash[sid].down,
-            None => false,
-        }
+        self.faults.as_ref().is_some_and(|fl| fl.crash[sid].open)
     }
 
-    fn on_tick(&mut self, now: SimTime) {
-        // 1) Deliver queued refreshes as capacity allows.
-        let mut msgs = std::mem::take(&mut self.scratch);
-        msgs.clear();
-        self.cache_link.service(now, &mut msgs);
-        for msg in &msgs {
-            self.deliver_faulty(now, *msg);
-        }
-        self.scratch = msgs;
-
-        // 1b) Lost refreshes whose retransmit deadline has passed
-        //     re-enter the shared link like any other traffic.
-        self.process_retries(now);
-
-        // 2) Time-dependent policies (Bound) need fresh quotes each tick.
-        if !self.cfg.policy.piecewise_constant() {
-            for sid in 0..self.sources.len() {
-                if self.source_down(sid) {
-                    continue;
-                }
-                self.sources[sid].requote_all(now);
-            }
-        }
-
-        // 3) Each source ships what its credit and threshold allow.
-        for sid in 0..self.sources.len() {
-            self.attempt_sends(now, sid);
-        }
-
-        // 4) Update the utilization estimate, then spend genuine surplus
-        //    on positive feedback (§5), aimed at the highest thresholds.
-        self.delivery_rate_ewma =
-            0.8 * self.delivery_rate_ewma + 0.2 * self.deliveries_this_tick as f64;
-        self.deliveries_this_tick = 0;
-        self.send_feedback(now);
-
-        self.queue.schedule(self.tick_slot, now + self.cfg.tick);
+    fn aware(&self) -> bool {
+        self.faults.as_ref().is_some_and(|fl| fl.profile.aware)
     }
 
-    /// Sends from source `sid` while (a) an over-threshold candidate
-    /// exists and (b) source-side credit remains. Updates the saturation
-    /// flag per §5 footnote 3.
+    /// The §5 send rule: while source `sid`'s top candidate exceeds its
+    /// local threshold and the uplink has credit, send it. Otherwise
+    /// record whether over-threshold work waits on source bandwidth (the
+    /// saturation flag of §5 footnote 3).
     fn attempt_sends(&mut self, now: SimTime, sid: usize) {
         if self.source_down(sid) {
             return;
         }
-        loop {
-            let (priority, local) = match self.sources[sid].candidate() {
-                Some(c) => c,
-                None => {
-                    self.sources[sid].saturated = false;
-                    return;
-                }
-            };
-            if priority <= self.sources[sid].threshold.value() {
-                self.sources[sid].saturated = false;
+        let source = &mut self.sources[sid];
+        while let Some((priority, local)) = source.candidate() {
+            if priority <= source.threshold.value() {
+                break;
+            }
+            if !source.uplink.try_consume(now, 1.0) {
+                source.saturated = true;
                 return;
             }
-            if !self.sources[sid].uplink.try_consume(now, 1.0) {
-                // Over-threshold work pending but no source bandwidth.
-                self.sources[sid].saturated = true;
-                return;
-            }
-            let snapshot = self.sources[sid].mark_sent(now, local);
-            let msg = RefreshMsg {
-                obj: self.sources[sid].global(local),
-                src: self.sources[sid].id,
-                snapshot,
-                threshold: self.sources[sid].threshold.value(),
-            };
-            if let Some(delivered) = self.cache_link.offer(now, msg) {
-                self.deliver_faulty(now, delivered);
+            let snapshot = source.mark_sent(now, local);
+            let msg = RefreshMsg::new(source, local, snapshot);
+            self.delivery.offer(now, msg, &mut self.truths);
+            if let Some(c) = &mut self.competition {
+                c.on_threshold_send(now, local, source, &mut self.delivery, &mut self.truths);
             }
         }
+        source.saturated = false;
     }
 
     fn send_feedback(&mut self, now: SimTime) {
-        if self.cache_link.has_backlog() {
-            return;
-        }
-        // Reserve the bandwidth refreshes have been using; only what's
-        // left beyond that is surplus. Without the reserve, feedback sent
-        // at the tick boundary starves refreshes that arrive mid-tick.
-        let surplus = (self.cache_link.credit(now) - self.delivery_rate_ewma).floor();
-        if surplus < 1.0 {
-            return;
-        }
-        let k = (surplus as usize).min(self.sources.len());
-        if k == 0 {
-            return;
-        }
-        // The target list is built into a buffer owned by this struct (not
-        // the cache), so we can iterate it while mutating cache state; it
-        // is reused across ticks, keeping the steady state allocation-free.
+        let aware = self.aware();
         let mut targets = std::mem::take(&mut self.feedback_targets);
-        self.cache.select_targets_into(k, &mut targets);
+        self.delivery.feedback_targets(now, &mut targets);
         for &sid in &targets {
-            // Refreshes triggered by earlier feedback may have refilled
-            // the queue; surplus is gone then.
-            if !self.cache_link.try_consume(now, 1.0) {
+            if !self.delivery.send_feedback(now) {
                 break;
             }
-            self.cache.feedback_sent += 1;
             let sid = sid as usize;
             if self.source_down(sid) {
                 // The message spent cache credit, but the crashed sync
@@ -509,15 +432,11 @@ impl CoopSystem {
             let saturated = self.sources[sid].saturated;
             self.sources[sid].threshold.on_feedback(now, saturated);
             // Fault-aware runs piggyback the cache's cumulative delivery
-            // count for this source on the feedback message; the source
-            // folds it into its loss-rate estimator. Feedback is only
-            // sent when the link queue is empty, so the ack reflects a
-            // settled window rather than in-flight traffic.
-            if let Some(fl) = &self.faults {
-                if fl.profile.aware {
-                    let acked = fl.delivered_per_source[sid];
-                    self.sources[sid].on_delivery_ack(acked);
-                }
+            // count for this source on the feedback message. Feedback is
+            // only sent when the link queue is empty, so the ack reflects
+            // a settled window rather than in-flight traffic.
+            if aware {
+                self.sources[sid].on_delivery_ack(self.delivery.acked[sid]);
             }
             // The lowered threshold may make objects eligible right away.
             self.attempt_sends(now, sid);
@@ -525,238 +444,80 @@ impl CoopSystem {
         self.feedback_targets = targets;
     }
 
-    /// Delivery with the loss lane in front: each transmitted refresh is
-    /// independently lost with the profile's probability. The source
-    /// already spent uplink credit and reset its view in `mark_sent`, so
-    /// a loss silently leaves the cache stale — under the retransmit
-    /// policy the message is queued for a deadline-delayed resend.
-    fn deliver_faulty(&mut self, now: SimTime, msg: RefreshMsg) {
-        if let Some(fl) = &mut self.faults {
-            if fl.profile.loss_prob > 0.0 && fl.loss.draw() {
-                self.fault_stats.lost_refreshes += 1;
-                if let RecoveryPolicy::Retransmit { deadline } = fl.profile.recovery {
-                    fl.retries.push_back((now + deadline, msg));
-                }
-                return;
-            }
-        }
-        self.deliver(now, msg);
+    /// Re-offers due retries. Fault-aware runs also purge retries whose
+    /// source has updated the object since the lost send: the retried
+    /// snapshot no longer matches the source, so it buys nothing.
+    fn retry(&mut self, now: SimTime) {
+        let aware = self.aware();
+        let sources = &self.sources;
+        self.delivery.retry(now, &mut self.truths, |msg| {
+            let source = &sources[msg.src.index()];
+            aware && u64::from(source.state(source.local(msg.obj)).updates) > msg.snapshot.updates
+        });
     }
 
-    /// Re-offers every lost refresh whose retransmit deadline has
-    /// passed. Retransmissions pay for cache-link bandwidth like any
-    /// refresh and can themselves be lost again. Retries superseded by
-    /// a newer snapshot are purged before they burn link credit, and
-    /// during an outage window retries wait like any other traffic
-    /// (they were already dropped at outage start under `drops_queue`).
-    fn process_retries(&mut self, now: SimTime) {
-        if self.cache_link.is_suspended() {
+    /// Outage start: suspend the link and apply the queue policy. Outage
+    /// end: resume and attribute the epoch's divergence.
+    fn on_outage_transition(&mut self, now: SimTime, events: &mut Events) {
+        let truth = &self.truths[0];
+        let integral = truth.divergence_integral_range(now, 0, truth.len());
+        let stats = &mut self.delivery.faults;
+        let fl = self.faults.as_mut().expect("outage without fault layer");
+        let horizon = self.cfg.horizon();
+        if let Some(len) = fl
+            .outage
+            .flip(0, integral, horizon, events, &mut stats.epoch_divergence)
+        {
+            stats.outages += 1;
+            stats.outage_seconds += len;
+            self.delivery.suspend(now, fl.profile.outage_drops_queue);
             return;
         }
-        loop {
-            let msg = {
-                let Some(fl) = self.faults.as_mut() else {
-                    return;
-                };
-                match fl.retries.front() {
-                    Some((due, _)) if *due <= now => fl.retries.pop_front().expect("front ok").1,
-                    _ => return,
-                }
-            };
-            if self.retry_superseded(&msg) {
-                self.fault_stats.superseded_retries += 1;
-                continue;
-            }
-            self.fault_stats.retransmits += 1;
-            if let Some(delivered) = self.cache_link.offer(now, msg) {
-                self.deliver_faulty(now, delivered);
-            }
+        self.delivery.link.resume(now);
+        if fl.profile.aware {
+            // Fault-aware resume: merge due retries into the held
+            // backlog, then replay the §8 economics over the whole queue
+            // — highest weighted divergence first — instead of
+            // FIFO-draining a backlog ordered by pre-outage priorities.
+            self.retry(now);
+            let (truth, metric) = (&self.truths[0], self.cfg.metric);
+            self.delivery.link.reorder_queue_by(|msg: &RefreshMsg| {
+                let t = truth.truth(msg.obj);
+                let gain = metric.divergence(
+                    msg.snapshot.value,
+                    msg.snapshot.updates,
+                    t.cached_value,
+                    t.cached_updates,
+                );
+                truth.weight_at(msg.obj, now) * gain
+            });
         }
-    }
-
-    /// Whether a queued retry is no longer worth sending. Always purged:
-    /// the cache already holds a newer snapshot (a later send got
-    /// through), so delivery would be dropped by the recency guard
-    /// anyway. Fault-aware runs additionally purge retries whose source
-    /// has updated the object since the lost send — the retried snapshot
-    /// no longer matches the source, so under the divergence accounting
-    /// it buys nothing (and the newer state will be quoted on its own).
-    fn retry_superseded(&self, msg: &RefreshMsg) -> bool {
-        if msg.snapshot.updates <= self.truth.truth(msg.obj).cached_updates {
-            return true;
-        }
-        let aware = self.faults.as_ref().is_some_and(|fl| fl.profile.aware);
-        if !aware {
-            return false;
-        }
-        let source = &self.sources[msg.src.index()];
-        let local = source.local(msg.obj);
-        u64::from(source.state(local).updates) > msg.snapshot.updates
-    }
-
-    /// Handles an outage or crash slot transition.
-    fn on_fault_event(&mut self, now: SimTime, slot: u32) {
-        let (outage_slot, crash_slot_base) = {
-            let fl = self
-                .faults
-                .as_ref()
-                .expect("fault slot without fault layer");
-            (fl.outage_slot, fl.crash_slot_base)
-        };
-        if slot == outage_slot {
-            self.on_outage_transition(now);
-        } else {
-            self.on_crash_transition(now, (slot - crash_slot_base) as usize);
-        }
-    }
-
-    /// Outage start: bank credit, suspend accrual, apply the queue
-    /// policy. Outage end: resume and attribute the epoch's divergence.
-    fn on_outage_transition(&mut self, now: SimTime) {
-        let horizon = self.cfg.horizon();
-        let objects = self.truth.len();
-        let fl = self.faults.as_mut().expect("outage without fault layer");
-        if !fl.outage_active {
-            let e = fl.outage.expect("outage start fired without a window");
-            fl.outage_active = true;
-            self.fault_stats.outages += 1;
-            self.fault_stats.outage_seconds += e.end.min(horizon) - e.start;
-            self.cache_link.suspend(now);
-            if fl.profile.outage_drops_queue {
-                self.fault_stats.dropped_in_outage += self.cache_link.drop_queue() as u64;
-                // The drop policy applies to the retry side-queue too —
-                // retries must not ride out an outage that drops fresh
-                // traffic.
-                self.fault_stats.dropped_in_outage += fl.retries.len() as u64;
-                fl.retries.clear();
-            }
-            fl.outage_epoch_start = self.truth.divergence_integral_range(now, 0, objects);
-            self.queue.schedule(fl.outage_slot, SimTime::new(e.end));
-        } else {
-            fl.outage_active = false;
-            self.cache_link.resume(now);
-            self.fault_stats.epoch_divergence +=
-                self.truth.divergence_integral_range(now, 0, objects) - fl.outage_epoch_start;
-            fl.outage = fl.outages.next_episode();
-            if let Some(e) = fl.outage {
-                self.queue.schedule(fl.outage_slot, SimTime::new(e.start));
-            }
-            if fl.profile.aware {
-                // Fault-aware resume: merge due retries into the held
-                // backlog, then replay the §8 economics over the whole
-                // queue — highest weighted divergence first — instead of
-                // FIFO-draining a backlog whose order reflects pre-outage
-                // priorities.
-                self.process_retries(now);
-                self.reorder_held_queue(now);
-            }
-        }
-    }
-
-    /// Reorders the cache-link backlog by the divergence a delivery
-    /// would resolve (`weight × divergence(snapshot, cached)`), the
-    /// cache-side analogue of the §8 priority a send was quoted under.
-    fn reorder_held_queue(&mut self, now: SimTime) {
-        let truth = &self.truth;
-        let metric = self.cfg.metric;
-        self.cache_link.reorder_queue_by(|msg: &RefreshMsg| {
-            let t = truth.truth(msg.obj);
-            let gain = metric.divergence(
-                msg.snapshot.value,
-                msg.snapshot.updates,
-                t.cached_value,
-                t.cached_updates,
-            );
-            truth.weight_at(msg.obj, now) * gain
-        });
     }
 
     /// Crash start: the sync agent loses its heap and goes silent.
     /// Restart: attribute the epoch's divergence and run the recovery
     /// policy (resync re-quotes everything and bursts catch-up sends).
-    fn on_crash_transition(&mut self, now: SimTime, sid: usize) {
-        let horizon = self.cfg.horizon();
+    fn on_crash_transition(&mut self, now: SimTime, sid: usize, events: &mut Events) {
         let per_source = self.layout.objects_per_source() as usize;
         let (lo, hi) = (sid * per_source, (sid + 1) * per_source);
-        let resync = {
-            let fl = self.faults.as_mut().expect("crash without fault layer");
-            let slot = fl.crash_slot_base + sid as u32;
-            let cs = &mut fl.crash[sid];
-            if !cs.down {
-                let e = cs.episode.expect("crash start fired without an episode");
-                cs.down = true;
-                self.fault_stats.crashes += 1;
-                self.fault_stats.down_seconds += e.end.min(horizon) - e.start;
-                cs.epoch_start = self.truth.divergence_integral_range(now, lo, hi);
-                self.sources[sid].saturated = false;
-                self.sources[sid].clear_quotes();
-                self.queue.schedule(slot, SimTime::new(e.end));
-                false
-            } else {
-                cs.down = false;
-                self.fault_stats.epoch_divergence +=
-                    self.truth.divergence_integral_range(now, lo, hi) - cs.epoch_start;
-                cs.episode = cs.sched.next_episode();
-                if let Some(e) = cs.episode {
-                    self.queue.schedule(slot, SimTime::new(e.start));
-                }
-                matches!(fl.profile.recovery, RecoveryPolicy::Resync)
-            }
-        };
-        if resync {
+        let integral = self.truths[0].divergence_integral_range(now, lo, hi);
+        let stats = &mut self.delivery.faults;
+        let fl = self.faults.as_mut().expect("crash without fault layer");
+        let horizon = self.cfg.horizon();
+        let window = &mut fl.crash[sid];
+        let k = 1 + sid as u32;
+        if let Some(len) = window.flip(k, integral, horizon, events, &mut stats.epoch_divergence) {
+            stats.crashes += 1;
+            stats.down_seconds += len;
+            self.sources[sid].saturated = false;
+            self.sources[sid].clear_quotes();
+        } else if matches!(fl.profile.recovery, RecoveryPolicy::Resync) {
             // Cold-restart bulk resync: re-quote every diverged object
-            // and let the catch-up burst compete for bandwidth under
-            // the ordinary §8 priority scheme.
+            // and let the catch-up burst compete for bandwidth under the
+            // ordinary §8 priority scheme.
             self.sources[sid].requote_all(now);
-            self.fault_stats.resync_quotes += self.sources[sid].heap.raw_len() as u64;
+            stats.resync_quotes += self.sources[sid].heap.raw_len() as u64;
             self.attempt_sends(now, sid);
-        }
-    }
-
-    fn deliver(&mut self, now: SimTime, msg: RefreshMsg) {
-        if let Some(fl) = &mut self.faults {
-            // Ack accounting: the message transited the link, so it
-            // counts as delivered for the source's loss-rate estimator
-            // even if the recency guard discards it below.
-            fl.delivered_per_source[msg.src.index()] += 1;
-        }
-        // Recency guard: a retransmitted lost refresh that arrives after
-        // a newer refresh for the same object must not overwrite the
-        // fresher cached value. On the fault-free path snapshot update
-        // counts are strictly increasing per object across sends and the
-        // link is FIFO, so this guard can only fire for retransmissions.
-        if msg.snapshot.updates <= self.truth.truth(msg.obj).cached_updates {
-            self.fault_stats.stale_drops += 1;
-            self.refreshes_delivered += 1;
-            self.deliveries_this_tick += 1;
-            return;
-        }
-        self.truth
-            .apply_refresh(now, msg.obj, msg.snapshot.value, msg.snapshot.updates);
-        self.cache.observe_threshold(msg.src, msg.threshold);
-        self.refreshes_delivered += 1;
-        self.deliveries_this_tick += 1;
-    }
-
-    fn report(self, horizon: SimTime) -> RunReport {
-        let mut threshold_stats = RunningStats::new();
-        let mut refreshes_sent = 0;
-        for s in &self.sources {
-            threshold_stats.push(s.threshold.value());
-            refreshes_sent += s.sends;
-        }
-        let link_stats = self.cache_link.stats();
-        RunReport {
-            divergence: self.truth.report(horizon),
-            refreshes_sent,
-            refreshes_delivered: self.refreshes_delivered,
-            feedback_messages: self.cache.feedback_sent,
-            polls_sent: 0,
-            max_cache_queue: link_stats.max_queue,
-            mean_queue_wait: link_stats.total_wait / (link_stats.delivered.max(1) as f64),
-            threshold_stats,
-            updates_processed: self.updates_processed,
-            faults: self.fault_stats,
         }
     }
 }
@@ -765,6 +526,7 @@ impl CoopSystem {
 mod tests {
     use super::*;
     use crate::priority::PolicyKind;
+    use crate::source::Snapshot;
     use besync_data::Metric;
     use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
 
@@ -1031,33 +793,36 @@ mod tests {
             }),
             small_spec(17),
         );
+        let m = &mut sys.kernel.model;
         let obj = ObjectId(0);
-        let src = sys.layout.source_of(obj);
+        let src = m.layout.source_of(obj);
         let mk = |value: f64, updates: u64| RefreshMsg {
             obj,
             src,
             snapshot: Snapshot { value, updates },
             threshold: 1.0,
         };
-        sys.deliver(SimTime::new(1.0), mk(2.5, 9));
-        assert_eq!(sys.truth.truth(obj).cached_updates, 9);
-        assert_eq!(sys.fault_stats.stale_drops, 0);
-        sys.deliver(SimTime::new(1.5), mk(-4.0, 6));
-        let t = sys.truth.truth(obj);
+        m.delivery
+            .admit(SimTime::new(1.0), mk(2.5, 9), &mut m.truths);
+        assert_eq!(m.truths[0].truth(obj).cached_updates, 9);
+        assert_eq!(m.delivery.faults.stale_drops, 0);
+        m.delivery
+            .admit(SimTime::new(1.5), mk(-4.0, 6), &mut m.truths);
+        let t = m.truths[0].truth(obj);
         assert_eq!(
             t.cached_updates, 9,
             "stale retransmission overwrote the newer refresh"
         );
         assert_eq!(t.cached_value, 2.5);
-        assert_eq!(sys.fault_stats.stale_drops, 1);
+        assert_eq!(m.delivery.faults.stale_drops, 1);
         // An equal-count duplicate is stale too (<=, not <).
-        sys.deliver(SimTime::new(2.0), mk(2.5, 9));
-        assert_eq!(sys.fault_stats.stale_drops, 2);
+        m.delivery
+            .admit(SimTime::new(2.0), mk(2.5, 9), &mut m.truths);
+        assert_eq!(m.delivery.faults.stale_drops, 2);
         // Every arrival transited the link: all three count as delivered
         // and feed the per-source ack counter.
-        assert_eq!(sys.refreshes_delivered, 3);
-        let fl = sys.faults.as_ref().expect("fault layer present");
-        assert_eq!(fl.delivered_per_source[src.index()], 3);
+        assert_eq!(m.delivery.delivered, 3);
+        assert_eq!(m.delivery.acked[src.index()], 3);
     }
 
     #[test]
@@ -1070,8 +835,9 @@ mod tests {
             }),
             small_spec(18),
         );
+        let m = &mut sys.kernel.model;
         let obj = ObjectId(0);
-        let src = sys.layout.source_of(obj);
+        let src = m.layout.source_of(obj);
         let mk = |value: f64, updates: u64| RefreshMsg {
             obj,
             src,
@@ -1079,31 +845,32 @@ mod tests {
             threshold: 1.0,
         };
         // Two due retries: one that will be superseded, one still fresh.
-        {
-            let fl = sys.faults.as_mut().expect("fault layer present");
-            fl.retries.push_back((SimTime::new(1.0), mk(1.0, 3)));
-            fl.retries.push_back((SimTime::new(1.0), mk(2.0, 8)));
-        }
+        m.delivery
+            .retries
+            .push_back((SimTime::new(1.0), mk(1.0, 3)));
+        m.delivery
+            .retries
+            .push_back((SimTime::new(1.0), mk(2.0, 8)));
         // While the link is suspended, retries must not burn credit.
-        sys.cache_link.suspend(SimTime::new(2.0));
-        sys.process_retries(SimTime::new(2.0));
-        assert_eq!(sys.faults.as_ref().unwrap().retries.len(), 2);
-        assert_eq!(sys.fault_stats.retransmits, 0);
+        m.delivery.suspend(SimTime::new(2.0), false);
+        m.retry(SimTime::new(2.0));
+        assert_eq!(m.delivery.retries.len(), 2);
+        assert_eq!(m.delivery.faults.retransmits, 0);
         // A newer refresh (updates=5) supersedes the first retry only.
-        sys.cache_link.resume(SimTime::new(3.0));
-        sys.deliver(SimTime::new(3.0), mk(5.0, 5));
-        sys.process_retries(SimTime::new(3.0));
-        assert_eq!(sys.fault_stats.superseded_retries, 1);
-        assert_eq!(sys.fault_stats.retransmits, 1);
+        m.delivery.link.resume(SimTime::new(3.0));
+        m.delivery
+            .admit(SimTime::new(3.0), mk(5.0, 5), &mut m.truths);
+        m.retry(SimTime::new(3.0));
+        assert_eq!(m.delivery.faults.superseded_retries, 1);
+        assert_eq!(m.delivery.faults.retransmits, 1);
         // The surviving retry was re-offered; the loss lane may lose the
         // retransmission itself, in which case it re-queues with a fresh
         // deadline — either way the original entries are gone.
-        let fl = sys.faults.as_ref().expect("fault layer present");
-        assert!(fl.retries.len() <= 1);
-        if let Some((due, m)) = fl.retries.front() {
-            assert_eq!(m.snapshot.updates, 8);
+        assert!(m.delivery.retries.len() <= 1);
+        if let Some((due, msg)) = m.delivery.retries.front() {
+            assert_eq!(msg.snapshot.updates, 8);
             assert_eq!(*due, SimTime::new(4.0));
-            assert_eq!(sys.fault_stats.lost_refreshes, 1);
+            assert_eq!(m.delivery.loss.lost(), 1);
         }
     }
 

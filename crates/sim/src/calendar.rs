@@ -1,4 +1,4 @@
-//! Slot-addressed event schedulers for dense, self-rescheduling event
+//! A slot-addressed event scheduler for dense, self-rescheduling event
 //! populations.
 //!
 //! A discrete-event simulation of the paper's system has a very regular
@@ -7,24 +7,14 @@
 //! of warm-up). A general [`EventQueue`](crate::EventQueue) pays for that
 //! generality twice: every event carries an enum payload through a
 //! `BinaryHeap`, and the dominant update→next-update pattern costs a full
-//! pop + push. This module offers two slot-addressed alternatives:
-//!
-//! * [`CalendarQueue`] — a bucket queue with amortized O(1) schedule and
-//!   pop; **this is what every simulation hot loop uses** (`CoopSystem`,
-//!   `IdealSystem`, and the CGM baselines). Minimal API (no cancel, no
-//!   in-place reschedule).
-//! * [`SlotQueue`] — the same `(time, seq, slot)` ordering on the shared
-//!   [`IndexedHeap`](crate::IndexedHeap), supporting `cancel` and
-//!   in-place `replace_top`/reschedule for schedulers that need those
-//!   operations.
-//!
-//! Both order identically to `EventQueue`: ascending time, FIFO within an
+//! pop + push. [`CalendarQueue`] is the slot-addressed alternative every
+//! simulation's event loop runs on (the `besync::kernel` event loop). It
+//! orders identically to `EventQueue`: ascending time, FIFO within an
 //! instant (a global sequence number stamps each `schedule`, and keys
 //! compare as `(time, seq)`). Determinism-sensitive callers can therefore
-//! swap any of the three without perturbing event order — the golden
-//! report tests in the workspace root pin exactly that.
+//! swap the two without perturbing event order — the golden report tests
+//! in the workspace root pin exactly that.
 
-use crate::indexed_heap::{HeapKey, IndexedHeap};
 use crate::time::SimTime;
 
 #[derive(Debug, Clone, Copy)]
@@ -32,130 +22,6 @@ struct Entry {
     at: SimTime,
     seq: u64,
     slot: u32,
-}
-
-/// `(time, seq)` scheduling key: earlier fires first, FIFO within an
-/// instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TimeKey {
-    at: SimTime,
-    seq: u64,
-}
-
-impl HeapKey for TimeKey {
-    #[inline]
-    fn beats(&self, other: &Self) -> bool {
-        (self.at, self.seq) < (other.at, other.seq)
-    }
-}
-
-/// A binary min-heap of at most one pending event per slot, ordered by
-/// `(time, seq)` with `seq` assigned per schedule call (FIFO within an
-/// instant). A thin time-flavoured wrapper over the workspace-wide
-/// [`IndexedHeap`]; the priority-flavoured sibling is
-/// `besync::heap::IndexedMaxHeap`.
-#[derive(Debug, Clone)]
-pub struct SlotQueue {
-    heap: IndexedHeap<TimeKey>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl SlotQueue {
-    /// Creates an empty queue for slots `0..slots`, positioned at time
-    /// zero.
-    pub fn new(slots: usize) -> Self {
-        SlotQueue {
-            heap: IndexedHeap::new(slots),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Number of slots this queue covers.
-    pub fn slots(&self) -> usize {
-        self.heap.items()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The time of the most recently popped event (the simulation clock).
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules (or reschedules) `slot` to fire at `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current simulation time — scheduling
-    /// in the past would silently reorder causality — or if `slot` is out
-    /// of range.
-    pub fn schedule(&mut self, slot: u32, at: SimTime) {
-        assert!(
-            at >= self.now,
-            "cannot schedule slot {slot} at {at:?} before now {:?}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(slot, TimeKey { at, seq });
-    }
-
-    /// Cancels `slot`'s pending event, if any. Returns whether one was
-    /// pending.
-    pub fn cancel(&mut self, slot: u32) -> bool {
-        self.heap.remove(slot)
-    }
-
-    /// The next `(time, slot)` without removing it.
-    #[inline]
-    pub fn peek(&self) -> Option<(SimTime, u32)> {
-        self.heap.peek().map(|(k, slot)| (k.at, slot))
-    }
-
-    /// Removes and returns the next `(time, slot)`, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, u32)> {
-        let (k, slot) = self.heap.pop()?;
-        self.now = k.at;
-        Some((k.at, slot))
-    }
-
-    /// Fast path for self-rescheduling events: advances the clock to the
-    /// top event's time and moves that same slot to fire at `at`, with a
-    /// single sift — equivalent to `pop()` followed by
-    /// `schedule(slot, at)`, including the seq stamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is empty or `at` precedes the top event.
-    pub fn replace_top(&mut self, at: SimTime) {
-        let (k, slot) = self.heap.peek().expect("replace_top on empty queue");
-        self.now = k.at;
-        assert!(
-            at >= self.now,
-            "cannot schedule slot {slot} at {at:?} before now {:?}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.replace_top(TimeKey { at, seq });
-    }
-
-    /// Checks heap/position-index consistency (test support).
-    #[doc(hidden)]
-    pub fn validate(&self) {
-        self.heap.validate();
-    }
 }
 
 /// A calendar (bucket) queue keyed by [`SimTime`]: amortized O(1)
@@ -170,11 +36,11 @@ impl SlotQueue {
 /// comparison each. Unlike a binary heap, no operation chases pointers
 /// through log n cache lines: the hot bucket is one contiguous line.
 ///
-/// Same ordering contract as [`EventQueue`](crate::EventQueue) and
-/// [`SlotQueue`]: ascending time, FIFO within an instant via a global
-/// schedule seq (equal times always land in the same bucket, where the
-/// min-scan breaks ties by seq). The golden report tests pin that the
-/// three are interchangeable.
+/// Same ordering contract as [`EventQueue`](crate::EventQueue):
+/// ascending time, FIFO within an instant via a global schedule seq
+/// (equal times always land in the same bucket, where the min-scan
+/// breaks ties by seq). The golden report tests pin that the two are
+/// interchangeable.
 ///
 /// This queue intentionally supports only the operations the hot loop
 /// needs: `schedule` and `pop_at_or_before`. No cancel, no in-place
@@ -486,140 +352,61 @@ mod tests {
         SimTime::new(s)
     }
 
+    /// Pops everything due by a far horizon.
+    fn pop(q: &mut CalendarQueue) -> Option<(SimTime, u32)> {
+        q.pop_at_or_before(t(1e9))
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = SlotQueue::new(3);
+        let mut q = CalendarQueue::new(3, 0.5);
         q.schedule(2, t(3.0));
         q.schedule(0, t(1.0));
         q.schedule(1, t(2.0));
-        assert_eq!(q.pop(), Some((t(1.0), 0)));
-        assert_eq!(q.pop(), Some((t(2.0), 1)));
-        assert_eq!(q.pop(), Some((t(3.0), 2)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&mut q), Some((t(1.0), 0)));
+        assert_eq!(pop(&mut q), Some((t(2.0), 1)));
+        assert_eq!(pop(&mut q), Some((t(3.0), 2)));
+        assert_eq!(pop(&mut q), None);
     }
 
     #[test]
     fn fifo_within_same_instant() {
-        let mut q = SlotQueue::new(100);
+        let mut q = CalendarQueue::new(100, 0.5);
         for slot in 0..100 {
             q.schedule(slot, t(5.0));
         }
         for slot in 0..100 {
-            assert_eq!(q.pop(), Some((t(5.0), slot)));
+            assert_eq!(pop(&mut q), Some((t(5.0), slot)));
         }
-    }
-
-    #[test]
-    fn reschedule_moves_slot() {
-        let mut q = SlotQueue::new(2);
-        q.schedule(0, t(5.0));
-        q.schedule(1, t(2.0));
-        q.schedule(0, t(1.0)); // move earlier
-        assert_eq!(q.pop(), Some((t(1.0), 0)));
-        assert_eq!(q.pop(), Some((t(2.0), 1)));
     }
 
     #[test]
     fn reschedule_same_time_goes_last() {
-        let mut q = SlotQueue::new(3);
+        let mut q = CalendarQueue::new(3, 0.5);
         q.schedule(0, t(1.0));
         q.schedule(1, t(1.0));
+        assert_eq!(pop(&mut q), Some((t(1.0), 0)));
         q.schedule(0, t(1.0)); // re-stamp: now younger than slot 1
-        assert_eq!(q.pop(), Some((t(1.0), 1)));
-        assert_eq!(q.pop(), Some((t(1.0), 0)));
-    }
-
-    #[test]
-    fn replace_top_equals_pop_then_schedule() {
-        let mut a = SlotQueue::new(8);
-        let mut b = SlotQueue::new(8);
-        for slot in 0..8 {
-            a.schedule(slot, t(slot as f64 * 0.5));
-            b.schedule(slot, t(slot as f64 * 0.5));
-        }
-        for step in 0..200 {
-            let (at, slot) = a.peek().unwrap();
-            let next = at + 0.1 + (step % 7) as f64 * 0.3;
-            a.replace_top(next);
-            let (bt, bslot) = b.pop().unwrap();
-            assert_eq!((at, slot), (bt, bslot));
-            b.schedule(bslot, next);
-            assert_eq!(a.peek(), b.peek());
-            assert_eq!(a.now(), b.now());
-        }
-    }
-
-    #[test]
-    fn cancel_removes() {
-        let mut q = SlotQueue::new(4);
-        for slot in 0..4 {
-            q.schedule(slot, t(slot as f64 + 1.0));
-        }
-        assert!(q.cancel(1));
-        assert!(!q.cancel(1));
-        assert_eq!(q.pop(), Some((t(1.0), 0)));
-        assert_eq!(q.pop(), Some((t(3.0), 2)));
-        assert_eq!(q.pop(), Some((t(4.0), 3)));
-        assert!(q.is_empty());
+        assert_eq!(pop(&mut q), Some((t(1.0), 1)));
+        assert_eq!(pop(&mut q), Some((t(1.0), 0)));
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        let mut q = SlotQueue::new(2);
+        let mut q = CalendarQueue::new(2, 0.5);
         q.schedule(0, t(2.0));
         assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
+        pop(&mut q);
         assert_eq!(q.now(), t(2.0));
     }
 
     #[test]
     #[should_panic(expected = "before now")]
     fn rejects_past_events() {
-        let mut q = SlotQueue::new(2);
+        let mut q = CalendarQueue::new(2, 0.5);
         q.schedule(0, t(2.0));
-        q.pop();
+        pop(&mut q);
         q.schedule(1, t(1.0));
-    }
-
-    /// Positions stay consistent under mixed churn.
-    #[test]
-    fn position_index_stays_consistent() {
-        let mut q = SlotQueue::new(32);
-        let mut state = 1u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for slot in 0..32u32 {
-            q.schedule(slot, t((rnd() % 64) as f64 * 0.25));
-        }
-        for _ in 0..5000 {
-            match rnd() % 4 {
-                0 => {
-                    if let Some((at, slot)) = q.pop() {
-                        q.schedule(slot, at + (rnd() % 8) as f64 * 0.5);
-                    }
-                }
-                1 => {
-                    let slot = (rnd() % 32) as u32;
-                    q.cancel(slot);
-                }
-                2 => {
-                    let slot = (rnd() % 32) as u32;
-                    q.schedule(slot, q.now() + (rnd() % 8) as f64 * 0.5);
-                }
-                _ => {
-                    if !q.is_empty() {
-                        let next = q.peek().unwrap().0 + (rnd() % 4) as f64 * 0.25;
-                        q.replace_top(next);
-                    }
-                }
-            }
-            // Invariant: every queued slot's recorded position is correct.
-            q.validate();
-        }
     }
 
     #[test]
@@ -709,7 +496,7 @@ mod tests {
     /// random-ish schedule: identical (time, slot) pop sequences.
     #[test]
     fn matches_event_queue_order() {
-        let mut sq = SlotQueue::new(16);
+        let mut cq = CalendarQueue::new(16, 0.25);
         let mut eq = crate::EventQueue::new();
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut rnd = move || {
@@ -720,17 +507,17 @@ mod tests {
         };
         for slot in 0..16u32 {
             let at = t((rnd() % 8) as f64 * 0.5);
-            sq.schedule(slot, at);
+            cq.schedule(slot, at);
             eq.schedule(at, slot);
         }
         for _ in 0..10_000 {
-            let (at, slot) = sq.pop().unwrap();
+            let (at, slot) = pop(&mut cq).unwrap();
             assert_eq!(eq.pop(), Some((at, slot)));
             // Reschedule the same slot a pseudo-random gap later —
             // sometimes zero, exercising the FIFO tie-break.
             let gap = (rnd() % 4) as f64 * 0.25;
             let next = at + gap;
-            sq.schedule(slot, next);
+            cq.schedule(slot, next);
             eq.schedule(next, slot);
         }
     }

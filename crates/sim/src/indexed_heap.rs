@@ -1,13 +1,10 @@
-//! The position-indexed binary heap shared by every scheduler in the
-//! workspace.
+//! The position-indexed binary heap behind the workspace's priority
+//! schedulers.
 //!
-//! Three schedulers need "at most one entry per small-integer item,
-//! revised **in place**": the source runtimes' priority heap (max by
-//! priority, FIFO on ties), [`SlotQueue`](crate::SlotQueue)'s pending
-//! event set (min by `(time, seq)`), and anything else keyed the same
-//! way. They used to be two near-identical copies of the same sift
-//! machinery differing only in the key type; this module is the single
-//! generic implementation both now wrap.
+//! The source runtimes' priority heap needs "at most one entry per
+//! small-integer item, revised **in place**" (max by priority, FIFO on
+//! ties). This module is that sift machinery, generic over the key type
+//! so any scheduler keyed the same way can reuse it.
 //!
 //! The ordering is supplied by the key type through [`HeapKey::beats`]:
 //! `a.beats(b)` means an entry keyed `a` belongs nearer the root than one

@@ -3,9 +3,10 @@
 //!
 //! This crate is deliberately independent of the caching domain: it provides
 //! a simulated clock ([`SimTime`]), deterministic event schedulers (the
-//! generic [`EventQueue`], the bucket-based [`CalendarQueue`] every hot
-//! loop uses, and [`SlotQueue`]), the position-indexed heap those — and
-//! the domain crates' priority schedulers — share ([`IndexedHeap`]),
+//! bucket-based [`CalendarQueue`] every event loop runs on, and the
+//! generic [`EventQueue`] kept as its ordering oracle), the
+//! position-indexed heap behind the domain crates' priority schedulers
+//! ([`IndexedHeap`]),
 //! time-varying signals ([`Wave`]) used to model fluctuating bandwidth
 //! and weights, seeded RNG streams ([`rng`]), and time-weighted
 //! statistics ([`stats`]) used to measure divergence exactly between
@@ -24,7 +25,7 @@ pub mod signal;
 pub mod stats;
 pub mod time;
 
-pub use calendar::{CalendarQueue, SlotQueue};
+pub use calendar::CalendarQueue;
 pub use events::EventQueue;
 pub use indexed_heap::{HeapKey, IndexedHeap};
 pub use signal::Wave;

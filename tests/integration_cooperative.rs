@@ -200,3 +200,19 @@ fn lag_metric_accounts_queued_snapshots() {
     assert!(r.mean_queue_wait >= 0.0);
     assert!(r.divergence.mean_unweighted > 0.0);
 }
+
+#[test]
+fn run_until_past_the_horizon_reports_like_run() {
+    // Stepping past the horizon must neither process nor count
+    // post-horizon events: the stepped report equals `run()`'s exactly.
+    let spec = besync_scenarios::by_name("medium")
+        .expect("registered scenario")
+        .quick();
+    let whole = spec.run();
+    let besync_scenarios::ReadySystem::Coop(mut coop) = spec.build() else {
+        panic!("medium is a cooperative scenario");
+    };
+    coop.run_until(coop.horizon() + 50.0);
+    let stepped = coop.into_report();
+    assert_eq!(format!("{whole:?}"), format!("{stepped:?}"));
+}
