@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use besync::fault::{FaultProfile, RecoveryPolicy};
 use besync_scenarios::{by_name, suite, ScenarioSpec, SystemKind};
-use besync_sweep::{sweep, Shards, SweepOptions, SweepOutcome, TransportKind};
+use besync_sweep::{sweep, Shards, SweepOptions, SweepOutcome};
 use besync_verify::{check_scenario, collect, ScenarioStats, StatBaseline, Tier};
 
 /// Counting shim over the system allocator: live-bytes plus a
@@ -90,36 +90,6 @@ fn reset_alloc_peak() {
 
 fn alloc_peak_bytes() -> u64 {
     ALLOC_PEAK.load(Ordering::Relaxed) as u64
-}
-
-/// Process peak resident set size, from `VmHWM` in `/proc/self/status`.
-/// Monotone over the process lifetime (the kernel never lowers it), so
-/// per-scenario memory attribution comes from the allocator counter
-/// above; this is the coarse "what did the whole run cost the box"
-/// number. Returns 0 where the procfs field is unavailable.
-fn peak_rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-            return 0;
-        };
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmHWM:") {
-                if let Some(kb) = rest
-                    .split_whitespace()
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                {
-                    return kb * 1024;
-                }
-            }
-        }
-        0
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
-    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -297,7 +267,6 @@ fn run_scenario(scenario: &ScenarioSpec, repeats: usize) -> ScenarioResult {
         refreshes_delivered: report.refreshes_delivered,
         feedback: report.feedback_messages,
         mean_divergence: report.mean_divergence(),
-        mem_bytes: peak_rss_bytes(),
         alloc_peak_bytes: alloc_peak_bytes(),
         baseline_events_per_sec: None,
     }
@@ -320,9 +289,6 @@ struct ScenarioResult {
     refreshes_delivered: u64,
     feedback: u64,
     mean_divergence: f64,
-    /// Process peak RSS (`VmHWM`) sampled after the scenario ran —
-    /// monotone across the whole invocation, 0 off-linux.
-    mem_bytes: u64,
     /// Per-scenario heap high-water mark from the counting allocator
     /// (reset before each scenario's repeats) — the number that means
     /// "this scenario needs this much memory".
@@ -351,7 +317,6 @@ impl ScenarioResult {
                 "      \"refreshes_delivered\": {},\n",
                 "      \"feedback\": {},\n",
                 "      \"mean_divergence\": {:.9},\n",
-                "      \"mem_bytes\": {},\n",
                 "      \"alloc_peak_bytes\": {}"
             ),
             self.name,
@@ -368,7 +333,6 @@ impl ScenarioResult {
             self.refreshes_delivered,
             self.feedback,
             self.mean_divergence,
-            self.mem_bytes,
             self.alloc_peak_bytes,
         );
         if let Some(base) = self.baseline_events_per_sec {
@@ -651,8 +615,7 @@ besync-bench — seeded end-to-end throughput scenarios for the paper's schedule
 
 usage: besync-bench [--out PATH] [--compare PATH] [--tolerance F]
                     [--only NAME] [--repeat N] [--quick] [--shards LIST]
-                    [--workers pipes|tcp[://HOST:PORT]] [--spec-deadline SECS]
-                    [--list] [--fault-sweep]
+                    [--spec-deadline SECS] [--list] [--fault-sweep]
        besync-bench verify [--accept bits|stats] ...   (see `verify --help`)
 
   --out PATH       write results as JSON (e.g. BENCH_pr2.json); never run this
@@ -674,10 +637,6 @@ usage: besync-bench [--out PATH] [--compare PATH] [--tolerance F]
                    wall-clock, and hard-fail if any merged counter differs
                    from the in-process table (the sharded runner's
                    byte-identity contract); recorded as shards_grid in --out
-  --workers KIND   worker channel for the --shards grid: `pipes` (child
-                   stdio, default) or `tcp`/`tcp://HOST:PORT` (supervisor
-                   listens; workers dial back with --connect). Identity
-                   holds across transports
   --spec-deadline  seconds a worker may hold one spec before it is presumed
                    hung and replaced (default 600; 0 disables)
   --list           print scenario names with descriptions and exit
@@ -704,8 +663,7 @@ usage: besync-bench verify [--accept bits|stats] [--baseline PATH]
                            [--scenarios A,B,..] [--seeds N]
                            [--tier strict|standard|loose] [--record]
                            [--tolerance F] [--repeat N] [--quick]
-                           [--shards N] [--workers pipes|tcp[://HOST:PORT]]
-                           [--spec-deadline SECS]
+                           [--shards N] [--spec-deadline SECS]
 
   --accept bits    tier 1, bit identity: run the bench suite once and demand
                    every counter match the bench-JSON baseline(s) exactly
@@ -735,7 +693,6 @@ usage: besync-bench verify [--accept bits|stats] [--baseline PATH]
   --quick          CI smoke scale for either tier; stats baselines store
                    quick and full entries separately
   --shards N       run the underlying sweeps over N worker processes
-  --workers KIND   worker channel for --shards (pipes | tcp[://HOST:PORT])
   --spec-deadline  per-spec worker deadline in seconds (0 disables)";
 
 /// Runs each selected scenario and prints the per-scenario table row by
@@ -859,7 +816,6 @@ fn main() -> std::process::ExitCode {
     let mut want_fault_sweep = false;
     let mut repeats: Option<usize> = None;
     let mut shards_grid: Vec<Shards> = Vec::new();
-    let mut transport = TransportKind::Pipes;
     let mut spec_deadline = SweepOptions::default().spec_deadline;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -895,16 +851,6 @@ fn main() -> std::process::ExitCode {
                     Ok(v) => shards_grid = v,
                     Err(e) => {
                         eprintln!("--shards: {e}");
-                        return std::process::ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--workers" => {
-                let v = args.next().unwrap_or_default();
-                match TransportKind::parse(&v) {
-                    Ok(t) => transport = t,
-                    Err(e) => {
-                        eprintln!("--workers: {e}");
                         return std::process::ExitCode::FAILURE;
                     }
                 }
@@ -982,7 +928,6 @@ fn main() -> std::process::ExitCode {
     for &shards in &shards_grid {
         let opts = SweepOptions {
             shards,
-            transport: transport.clone(),
             spec_deadline,
             ..SweepOptions::default()
         };
@@ -1113,7 +1058,6 @@ fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
     let mut tolerance = 0.25;
     let mut repeats: usize = 1;
     let mut shards = Shards::InProcess;
-    let mut transport = TransportKind::Pipes;
     let mut spec_deadline = SweepOptions::default().spec_deadline;
     let mut args = argv.into_iter();
     while let Some(a) = args.next() {
@@ -1153,16 +1097,6 @@ fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
                 Some(s) => shards = s,
                 None => return fail("--shards needs a worker count (0 = in-process)"),
             },
-            "--workers" => {
-                let v = args.next().unwrap_or_default();
-                match TransportKind::parse(&v) {
-                    Ok(t) => transport = t,
-                    Err(e) => {
-                        eprintln!("--workers: {e}");
-                        return std::process::ExitCode::FAILURE;
-                    }
-                }
-            }
             "--spec-deadline" => {
                 let v = args.next().unwrap_or_default();
                 match v.parse::<f64>() {
@@ -1181,7 +1115,6 @@ fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
     }
     let opts = SweepOptions {
         shards,
-        transport,
         spec_deadline,
         ..SweepOptions::default()
     };

@@ -11,11 +11,11 @@ use besync::cache::partition::{BandwidthPartition, SharePolicy};
 use besync::competitive::{CompetitiveConfig, CompetitiveSystem};
 use besync::config::SystemConfig;
 use besync_data::{Metric, WeightProfile};
+use besync_sweep::pool::{default_threads, parallel_map};
 use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
 use besync_workloads::WorkloadSpec;
 
 use crate::output::{fnum, Row};
-use crate::runner::{default_threads, parallel_map};
 use crate::Mode;
 
 /// One (Ψ, option) cell.

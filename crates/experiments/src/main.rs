@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use besync_experiments::output::{render_table, write_csv, Row};
 use besync_experiments::{bounds, competitive, fig4, fig5, fig6, params, sampling, validate, Mode};
-use besync_sweep::{Shards, SweepOptions, TransportKind};
+use besync_sweep::{Shards, SweepOptions};
 
 /// Parses `--spec-deadline` seconds: a positive number (fractions
 /// allowed) bounds each spec's worker service time; `0` disables the
@@ -231,16 +231,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--workers" => {
-                let v = it.next().unwrap_or_default();
-                match TransportKind::parse(&v) {
-                    Ok(t) => opts.sweep.transport = t,
-                    Err(e) => {
-                        eprintln!("invalid --workers `{v}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--spec-deadline" => {
                 let v = it.next().unwrap_or_default();
                 match parse_deadline(&v) {
@@ -279,20 +269,13 @@ const HELP: &str = "\
 experiments — regenerate the paper's tables and figures
 
 usage: experiments <command> [--mode quick|standard|full] [--seed N] [--out DIR]
-                   [--shards N] [--workers pipes|tcp[://HOST:PORT]]
-                   [--spec-deadline SECS]
+                   [--shards N] [--spec-deadline SECS]
 
 --shards N runs the spec-based grids (fig4, fig5, fig6, param-sweep)
 across N worker processes instead of in-process threads (0, the
 default). Output is byte-identical for any N — the sweep runner merges
 worker reports in input order and the codec round-trips every value bit
 for bit. Other commands ignore the flag.
-
---workers picks the worker channel: `pipes` (child-process stdio, the
-default) or `tcp` / `tcp://HOST:PORT` (the supervisor listens, workers
-are started with `--connect HOST:PORT` and dial back in). `tcp` alone
-binds 127.0.0.1 on an ephemeral port. Byte-identity holds across
-transports.
 
 --spec-deadline SECS bounds how long a worker may hold one spec before
 it is presumed hung, killed, and replaced (default 600; 0 disables).

@@ -4,11 +4,8 @@
 //! [`besync_sweep::WORKER_FLAG`]); this binary exists for harnesses that
 //! have no worker-capable binary of their own — the sweep crate's own
 //! end-to-end tests drive it via `CARGO_BIN_EXE_besync-sweep-worker`.
-//! It speaks the worker protocol on stdin/stdout, or over TCP when
-//! started with `--connect host:port` and `--connect-token <hex>` (the
-//! supervisor's TCP transport appends both itself); a channel flag
-//! without its value is a usage error, and any other arguments are
-//! ignored.
+//! It speaks the worker protocol on stdin/stdout and ignores its
+//! arguments.
 
 fn main() -> std::process::ExitCode {
     besync_sweep::worker_main()

@@ -6,16 +6,13 @@
 //! processes*, streams [`besync_scenarios::codec`]-encoded
 //! [`ScenarioSpec`]s to them with a line-framed request/response protocol
 //! ([`protocol`]), collects encoded [`RunReport`]s, and merges them **in
-//! input order**. The channel itself is abstracted behind
-//! [`transport::WorkerTransport`]: child-process pipes by default, or a
-//! TCP listener that workers started with `--connect host:port` dial back
-//! into ([`transport::TransportKind::Tcp`]) — the first step toward
-//! remote workers.
+//! input order**. Each worker is a child process spoken to over its
+//! stdio pipes ([`transport::WorkerProcess`]).
 //!
 //! The contract, pinned by `tests/sweep_equivalence.rs` at the workspace
 //! root: output is byte-identical to an in-process run regardless of
-//! worker count, transport, scheduling, stragglers, or worker faults.
-//! Three properties compose to give that guarantee:
+//! worker count, scheduling, stragglers, or worker faults. Three
+//! properties compose to give that guarantee:
 //!
 //! 1. specs replay identically after a codec round trip (pinned in
 //!    `besync_scenarios::codec`),
@@ -32,10 +29,10 @@
 //! On top of the merge sits a robustness layer (see [`supervisor`] for
 //! the mechanics): bounded in-flight work per worker (backpressure),
 //! per-spec deadlines, `PING`/`PONG` heartbeats that catch frozen
-//! processes and partitioned TCP peers, seeded-deterministic exponential
-//! backoff between respawns ([`backoff`]), per-slot respawn budgets, and
-//! graceful degradation — a sweep whose workers all die still completes
-//! (in-process) byte-identically, reporting the damage in a structured
+//! processes, seeded-deterministic exponential backoff between respawns
+//! ([`backoff`]), per-slot respawn budgets, and graceful degradation — a
+//! sweep whose workers all die still completes (in-process)
+//! byte-identically, reporting the damage in a structured
 //! [`supervisor::SweepSummary`] rather than failing. Worker stderr tails
 //! are captured for every fault. The fault classes themselves are
 //! injectable for tests via the [`FAULT_ENV`] environment knob
@@ -57,5 +54,4 @@ pub use supervisor::{
     sweep, DegradedSlot, Shards, SweepError, SweepOptions, SweepOutcome, SweepRun, SweepSummary,
     WorkerSpawn,
 };
-pub use transport::TransportKind;
-pub use worker::{worker_main, Fault, ABORT_ENV, CONNECT_FLAG, FAULT_ENV, TOKEN_FLAG, WORKER_FLAG};
+pub use worker::{worker_main, Fault, ABORT_ENV, FAULT_ENV, WORKER_FLAG};

@@ -22,8 +22,8 @@
 //!   `PING`; a worker whose I/O thread is alive answers immediately
 //!   even while computing. No `PONG` within
 //!   [`SweepOptions::heartbeat_timeout`] means the *process* is frozen
-//!   (stopped, swapped out, or a partitioned TCP peer) — killed without
-//!   waiting for the full deadline.
+//!   (stopped or swapped out) — killed without waiting for the full
+//!   deadline.
 //! * **Backoff** — respawns wait out a seeded-deterministic
 //!   exponential-with-jitter delay ([`BackoffPolicy`]), so a
 //!   crash-looping worker command can't melt the host. Nothing
@@ -50,7 +50,7 @@ use besync_scenarios::{codec, ScenarioSpec};
 use crate::backoff::BackoffPolicy;
 use crate::pool::{default_threads, parallel_map};
 use crate::protocol::{self, Response};
-use crate::transport::{make_transport, StderrTail, TransportKind, WorkerLink, WorkerTransport};
+use crate::transport::{StderrTail, WorkerProcess};
 use crate::worker::{ABORT_ENV, FAULT_ENV, WORKER_FLAG};
 
 /// How a sweep distributes its specs.
@@ -138,9 +138,6 @@ pub struct SweepOptions {
     pub threads: Option<usize>,
     /// How to start workers.
     pub worker: WorkerSpawn,
-    /// Which channel carries the protocol: child-process pipes (the
-    /// default) or a TCP listener workers dial back into.
-    pub transport: TransportKind,
     /// Extra environment for *initial* worker spawns only — respawned
     /// replacements never inherit it. This is the fault-injection hook:
     /// tests set [`FAULT_ENV`] here to make workers misbehave mid-grid.
@@ -175,7 +172,6 @@ impl Default for SweepOptions {
             window: 2,
             threads: None,
             worker: WorkerSpawn::CurrentExe,
-            transport: TransportKind::Pipes,
             worker_env: Vec::new(),
             max_respawns: 8,
             spec_deadline: Some(Duration::from_secs(600)),
@@ -312,9 +308,9 @@ pub enum SweepError {
         /// The OS error, stringified.
         message: String,
     },
-    /// A worker answered `ERR` — it received a spec it could not decode
-    /// or run. Always a protocol/codec bug, never load-dependent, so it
-    /// is not retried.
+    /// A worker answered `ERR` — it received a spec it could not decode,
+    /// or whose build or run panicked. Never load-dependent, so it is not
+    /// retried.
     Worker {
         /// Report slot the worker was answering for.
         seq: usize,
@@ -369,7 +365,7 @@ pub fn sweep(specs: &[ScenarioSpec], opts: &SweepOptions) -> Result<SweepRun, Sw
 }
 
 /// Builds and runs one spec, timing the phases separately.
-fn run_spec(spec: &ScenarioSpec) -> SweepOutcome {
+pub(crate) fn run_spec(spec: &ScenarioSpec) -> SweepOutcome {
     let build_start = Instant::now();
     let system = spec.build();
     let build_seconds = build_start.elapsed().as_secs_f64();
@@ -402,9 +398,9 @@ enum Msg {
 
 /// One worker process slot.
 struct Slot {
-    /// The transport channel (kills/reaps its process on drop, so early
-    /// error returns never leak children).
-    link: Box<dyn WorkerLink>,
+    /// The worker process (killed and reaped on drop, so early error
+    /// returns never leak children).
+    link: WorkerProcess,
     /// Rolling tail of the worker's stderr for crash diagnostics.
     stderr: StderrTail,
     /// Bumped on every respawn; messages tagged with an older value are
@@ -439,7 +435,6 @@ struct Supervisor<'a> {
     opts: &'a SweepOptions,
     /// Encoded (unescaped) codec text per spec, index = seq.
     payloads: Vec<String>,
-    transport: Box<dyn WorkerTransport>,
     tx: Sender<Msg>,
     rx: Receiver<Msg>,
     slots: Vec<Slot>,
@@ -473,15 +468,11 @@ fn run_sharded(
         })
         .collect::<Result<_, _>>()?;
 
-    let transport = make_transport(&opts.transport).map_err(|message| SweepError::Spawn {
-        message: format!("transport setup: {message}"),
-    })?;
     let workers = shards.clamp(1, specs.len());
     let (tx, rx) = channel();
     let mut sup = Supervisor {
         opts,
         payloads,
-        transport,
         tx,
         rx,
         slots: Vec::with_capacity(workers),
@@ -581,6 +572,10 @@ fn read_line_bounded(
     }
 }
 
+/// How long a fault waits for a reaped worker's stderr to drain, so its
+/// last lines reach the fault log and [`DegradedSlot::stderr_tail`].
+const STDERR_DRAIN: Duration = Duration::from_secs(1);
+
 /// Floor/ceiling for the supervisor's timer tick so the loop neither
 /// spins nor oversleeps a deadline by much.
 const MIN_TICK: Duration = Duration::from_millis(2);
@@ -589,7 +584,7 @@ const MAX_TICK: Duration = Duration::from_millis(500);
 impl Supervisor<'_> {
     /// Spawns (or respawns) the worker for `slot`.
     fn spawn_slot(
-        &mut self,
+        &self,
         slot: usize,
         incarnation: u64,
         first_incarnation: bool,
@@ -607,7 +602,6 @@ impl Supervisor<'_> {
                 c
             }
         };
-        cmd.args(self.transport.worker_args());
         if first_incarnation {
             for (k, v) in &self.opts.worker_env {
                 cmd.env(k, v);
@@ -622,14 +616,8 @@ impl Supervisor<'_> {
                 cmd.env_remove(k);
             }
         }
-        let mut link = self.transport.spawn(cmd)?;
-        let stderr = match link.take_stderr() {
-            Some(stream) => StderrTail::tail(stream),
-            None => StderrTail::empty(),
-        };
-        let reader = link
-            .take_reader()
-            .ok_or_else(|| "transport link has no reader stream".to_string())?;
+        let (link, reader, stderr) = WorkerProcess::spawn(cmd)?;
+        let stderr = StderrTail::tail(Box::new(stderr));
         let tx = self.tx.clone();
         std::thread::spawn(move || {
             let mut reader = BufReader::new(reader);
@@ -793,7 +781,7 @@ impl Supervisor<'_> {
                         self.fault(
                             slot,
                             &format!(
-                                "no PONG {beat} within {:.1}s (worker frozen or partitioned)",
+                                "no PONG {beat} within {:.1}s (worker frozen)",
                                 hb_timeout.as_secs_f64()
                             ),
                         )?;
@@ -934,7 +922,7 @@ impl Supervisor<'_> {
             for &seq in lost.iter().rev() {
                 self.pending.push_front(seq);
             }
-            self.slots[slot].stderr.snapshot()
+            self.slots[slot].stderr.final_snapshot(STDERR_DRAIN)
         };
         let faults = self.slots[slot].faults;
         eprintln!("sweep: worker slot {slot} fault #{faults}: {reason}");

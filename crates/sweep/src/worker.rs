@@ -1,12 +1,13 @@
 //! The worker side of the sweep protocol.
 //!
-//! A worker reads `SPEC`/`PING` lines from its channel (stdin, or a TCP
-//! socket when started with [`CONNECT_FLAG`]), runs each scenario to
-//! completion, and writes one `REPORT` (or `ERR`) line per spec, in the
-//! order received. It exits cleanly when its input closes. Workers are
-//! usually re-execs of the supervisor's own binary: binaries opt in by
-//! calling [`worker_main`] when their first argument is [`WORKER_FLAG`],
-//! before any other argument parsing.
+//! A worker reads `SPEC`/`PING` lines from stdin, runs each scenario to
+//! completion, and writes one `REPORT` (or `ERR`) line per spec to
+//! stdout, in the order received. A spec that fails to decode, or whose
+//! build or run panics, is answered with `ERR`. The worker exits cleanly
+//! when its input closes. Workers are usually re-execs of the
+//! supervisor's own binary: binaries opt in by calling [`worker_main`]
+//! when their first argument is [`WORKER_FLAG`], before any other
+//! argument parsing.
 //!
 //! The loop is split over two threads so the robustness layer upstairs
 //! can distinguish fault classes:
@@ -28,29 +29,19 @@
 //! injected faults never cascade past the first incarnation.
 
 use std::io::{BufRead, BufReader, Write};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use besync_scenarios::codec;
 
 use crate::protocol::{self, Request};
+use crate::supervisor::run_spec;
 
 /// Hidden argv flag that turns a participating binary into a worker.
 pub const WORKER_FLAG: &str = "--sweep-worker";
-
-/// Worker argv flag selecting the TCP channel: `--connect host:port`
-/// makes the worker dial the supervisor's listener and speak the
-/// protocol over the socket instead of stdin/stdout.
-pub const CONNECT_FLAG: &str = "--connect";
-
-/// Worker argv flag carrying the TCP spawn's handshake token
-/// (`--connect-token <hex>`): the worker writes the token as its first
-/// line on the socket, and the supervisor adopts only the connection
-/// that presents it — an unrelated local process dialing the listener
-/// port cannot be mistaken for the worker.
-pub const TOKEN_FLAG: &str = "--connect-token";
 
 /// Fault-injection hook: a [`Fault`] spec like `hang:2` or `exit:1:3`.
 /// Every fault-class end-to-end test drives the worker through this
@@ -196,68 +187,13 @@ impl Fault {
     }
 }
 
-/// Runs the worker loop. Call this (and nothing else) when a binary is
-/// invoked with [`WORKER_FLAG`]. Scans its own argv for [`CONNECT_FLAG`]
-/// (and [`TOKEN_FLAG`]) to pick the channel: present → TCP dial-back,
-/// absent → stdin/stdout. A channel flag without its value is a hard
-/// usage error — silently falling back to stdin would surface at the
-/// supervisor only as an opaque connect-timeout or early-exit fault.
+/// Runs the worker loop on stdin/stdout. Call this (and nothing else)
+/// when a binary is invoked with [`WORKER_FLAG`]; other arguments are
+/// ignored.
 pub fn worker_main() -> std::process::ExitCode {
-    let mut addr = None;
-    let mut token = None;
-    let mut args = std::env::args();
-    args.next(); // argv[0]
-    while let Some(a) = args.next() {
-        let target = if a == CONNECT_FLAG {
-            &mut addr
-        } else if a == TOKEN_FLAG {
-            &mut token
-        } else {
-            continue;
-        };
-        match args.next() {
-            Some(v) => *target = Some(v),
-            None => {
-                eprintln!(
-                    "sweep-worker: {a} requires a value \
-                     (usage: {CONNECT_FLAG} host:port [{TOKEN_FLAG} hex])"
-                );
-                return std::process::ExitCode::FAILURE;
-            }
-        }
-    }
-    match addr {
-        Some(addr) => {
-            let mut stream = match std::net::TcpStream::connect(&addr) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("sweep-worker: could not connect to {addr}: {e}");
-                    return std::process::ExitCode::FAILURE;
-                }
-            };
-            // Handshake first: the supervisor adopts this connection
-            // only after reading the spawn's token back.
-            if let Some(token) = token {
-                if let Err(e) = writeln!(stream, "{token}").and_then(|()| stream.flush()) {
-                    eprintln!("sweep-worker: could not send handshake token: {e}");
-                    return std::process::ExitCode::FAILURE;
-                }
-            }
-            let reader = match stream.try_clone() {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("sweep-worker: could not clone socket: {e}");
-                    return std::process::ExitCode::FAILURE;
-                }
-            };
-            run_worker(BufReader::new(reader), stream)
-        }
-        None => {
-            // Stdin/Stdout handles (not their !Send locks) — the worker
-            // loop moves its streams across its internal threads.
-            run_worker(BufReader::new(std::io::stdin()), std::io::stdout())
-        }
-    }
+    // Stdin/Stdout handles (not their !Send locks) — the worker loop
+    // moves its streams across its internal threads.
+    run_worker(BufReader::new(std::io::stdin()), std::io::stdout())
 }
 
 /// The newline-free burst a `flood:<n>` fault writes: comfortably past
@@ -380,24 +316,32 @@ fn compute_loop(
     }
 }
 
-/// Runs one decoded request to a single reply line.
+/// Runs one decoded request to a single reply line. A spec that decodes
+/// but panics while building or running (an out-of-range parameter the
+/// codec does not check) is answered with `ERR`: left to unwind, it would
+/// kill the compute thread while the I/O thread kept answering `PING`,
+/// so the supervisor would wait out the spec deadline on every respawn.
 fn handle_spec(seq: usize, spec_text: &str) -> String {
     let spec = match codec::decode(spec_text) {
         Ok(spec) => spec,
         Err(e) => return protocol::format_err(seq, &format!("bad spec: {e}")),
     };
-    let build_start = Instant::now();
-    let system = spec.build();
-    let build_seconds = build_start.elapsed().as_secs_f64();
-    let run_start = Instant::now();
-    let report = system.run();
-    let wall_seconds = run_start.elapsed().as_secs_f64();
-    protocol::format_report(
-        seq,
-        build_seconds,
-        wall_seconds,
-        &codec::encode_report(&report),
-    )
+    match std::panic::catch_unwind(AssertUnwindSafe(|| run_spec(&spec))) {
+        Ok(out) => protocol::format_report(
+            seq,
+            out.build_seconds,
+            out.wall_seconds,
+            &codec::encode_report(&out.report),
+        ),
+        Err(payload) => {
+            let cause = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            protocol::format_err(seq, &format!("spec panicked: {cause}"))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -475,13 +419,11 @@ mod tests {
             .any(|r| matches!(r, Response::Report { seq: 0, .. })));
     }
 
-    #[test]
-    fn undecodable_spec_yields_err_reply_and_keeps_serving() {
+    /// Feeds `first` then a good spec as seq 1; expects `ERR 0` carrying
+    /// `needle`, then `REPORT 1` — the worker keeps serving.
+    fn assert_err_then_report(first: &str, needle: &str) {
         let good = codec::encode(&by_name("small").unwrap().quick()).unwrap();
-        let input = format!(
-            "SPEC 0 not-a-scenario\n{}\n",
-            protocol::format_request(1, &good)
-        );
+        let input = format!("{first}\n{}\n", protocol::format_request(1, &good));
         let mut out = Vec::new();
         assert_eq!(
             run_worker(input.as_bytes(), &mut out),
@@ -492,7 +434,7 @@ mod tests {
         match protocol::parse_response(lines.next().unwrap()).unwrap() {
             Response::Err { seq, message } => {
                 assert_eq!(seq, 0);
-                assert!(message.contains("bad spec"), "{message}");
+                assert!(message.contains(needle), "{message}");
             }
             other => panic!("expected ERR, got {other:?}"),
         }
@@ -500,6 +442,22 @@ mod tests {
             protocol::parse_response(lines.next().unwrap()).unwrap(),
             Response::Report { seq: 1, .. }
         ));
+    }
+
+    #[test]
+    fn undecodable_spec_yields_err_reply_and_keeps_serving() {
+        assert_err_then_report("SPEC 0 not-a-scenario", "bad spec");
+    }
+
+    #[test]
+    fn panicking_spec_yields_err_reply_and_keeps_serving() {
+        // Decodes fine but `build()` panics on the out-of-range rates.
+        let mut bad = by_name("small").unwrap().quick();
+        if let besync_scenarios::WorkloadKind::Poisson { rate_range, .. } = &mut bad.workload {
+            *rate_range = (-1.0, -0.5);
+        }
+        let request = protocol::format_request(0, &codec::encode(&bad).unwrap());
+        assert_err_then_report(&request, "bad rate range");
     }
 
     #[test]
