@@ -1,8 +1,9 @@
-//! Micro-benches of the hot data structures: priority tracking, the lazy
-//! heap, link token accounting, threshold updates, the CGM allocation
-//! solver, and the change-rate estimators.
+//! Micro-benches of the hot data structures: priority tracking, the
+//! sources' indexed priority heap, the kernel's calendar queue, link token
+//! accounting, threshold updates, the CGM allocation solver, and the
+//! change-rate estimators.
 
-use besync::heap::LazyMaxHeap;
+use besync::heap::IndexedMaxHeap;
 use besync::priority::AreaTracker;
 use besync::threshold::{ThresholdParams, ThresholdState};
 use besync_baselines::estimators::{
@@ -10,8 +11,8 @@ use besync_baselines::estimators::{
 };
 use besync_baselines::freshness;
 use besync_net::Link;
-use besync_sim::{SimTime, Wave};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use besync_sim::{CalendarQueue, SimTime, Wave};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_area_tracker(c: &mut Criterion) {
     c.bench_function("area_tracker_update_and_priority", |b| {
@@ -26,13 +27,13 @@ fn bench_area_tracker(c: &mut Criterion) {
 }
 
 fn bench_heap(c: &mut Criterion) {
-    c.bench_function("lazy_heap_push_pop_1k", |b| {
+    c.bench_function("indexed_heap_push_revise_pop_1k", |b| {
         b.iter(|| {
-            let mut h = LazyMaxHeap::new(1000);
+            let mut h = IndexedMaxHeap::new(1000);
             for i in 0..1000u32 {
                 h.push(i, (i as f64 * 0.37) % 11.0);
             }
-            // Revise a quarter of them, then drain.
+            // Revise a quarter of them in place, then drain.
             for i in (0..1000u32).step_by(4) {
                 h.push(i, (i as f64 * 0.11) % 7.0);
             }
@@ -43,6 +44,36 @@ fn bench_heap(c: &mut Criterion) {
             black_box(sum)
         });
     });
+}
+
+/// One pop and one reschedule of the popped slot, an exponential gap
+/// later — the kernel's update→next-update pattern — on a full queue.
+fn bench_calendar(c: &mut Criterion) {
+    let mut g = c.benchmark_group("calendar_pop_schedule");
+    for slots in [2_048usize, 131_072, 1_048_576] {
+        g.bench_with_input(BenchmarkId::from_parameter(slots), &slots, |b, &slots| {
+            // Each slot fires at rate 1, so the queue's mean gap is 1/slots.
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut exp_gap = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let u = ((state >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+                -u.ln()
+            };
+            let mut q = CalendarQueue::new(slots, 1.0 / slots as f64);
+            for slot in 0..slots as u32 {
+                q.schedule(slot, SimTime::new(exp_gap()));
+            }
+            let far = SimTime::new(f64::MAX);
+            b.iter(|| {
+                let (now, slot) = q.pop_at_or_before(far).expect("the queue stays full");
+                q.schedule(slot, now + exp_gap());
+                black_box(slot)
+            });
+        });
+    }
+    g.finish();
 }
 
 fn bench_link(c: &mut Criterion) {
@@ -123,6 +154,7 @@ criterion_group!(
     benches,
     bench_area_tracker,
     bench_heap,
+    bench_calendar,
     bench_link,
     bench_threshold,
     bench_allocation,

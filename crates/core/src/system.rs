@@ -314,7 +314,10 @@ impl Coop {
         // copy of each pool is tens of megabytes of peak RSS. Splitting
         // back-to-front makes each `split_off` O(objects-per-source), and
         // construction observes nothing time-dependent, so the reversed
-        // build is bit-identical.
+        // build is bit-identical. `split_off` leaves each pool's full
+        // capacity allocated, so both are dropped as soon as the sources
+        // are built: otherwise 104 B/object of dead pool would sit under
+        // the queue that `Kernel::new` allocates.
         let per_source = layout.objects_per_source();
         let tparams = cfg.threshold_params(m);
         let mut weight_pool = std::mem::take(&mut spec.weights);
@@ -339,6 +342,7 @@ impl Coop {
             ));
         }
         sources.reverse();
+        drop((weight_pool, rate_pool));
 
         let faults = fault.map(|profile| FaultLayer {
             outage: Windows::new(EpisodeSchedule::outages(cfg.sim_seed, &profile)),

@@ -232,11 +232,6 @@ impl TruthTable {
         self.weights.weight_at(obj.index(), t)
     }
 
-    /// The weight profile of `obj`.
-    pub fn weight_profile(&self, obj: ObjectId) -> &WeightProfile {
-        self.weights.profile(obj.index())
-    }
-
     /// Current divergence of `obj`.
     ///
     /// Recomputed from the truth rather than read from the hot record:

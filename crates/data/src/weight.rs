@@ -102,37 +102,46 @@ impl Default for WeightProfile {
 /// [`WeightProfile`] spans most of a cache line, so indexing a
 /// `Vec<WeightProfile>` per event drags cold wave parameters through the
 /// hierarchy even when (as in the common case) both factors are constant.
-/// `WeightSet` keeps the profiles for the fluctuating slow path and
-/// accessors, but copies each constant product once into a dense `f64`
+/// `WeightSet` copies each constant product once into a dense `f64`
 /// array: the per-event lookup is one 8-byte load (eight objects per
 /// line) and one branch. Fluctuating profiles are marked NaN — weights
 /// are non-negative, so the sentinel cannot collide — and fall through to
 /// full profile dispatch, returning bit-identical values either way.
+///
+/// The full profiles are kept only when at least one of them fluctuates.
+/// An all-constant set — every run without fluctuating weights — holds
+/// the dense array alone, 8 B per object instead of 8 + 96.
 #[derive(Debug, Clone)]
 pub struct WeightSet {
+    /// Every profile, in object order, when any of them fluctuates;
+    /// empty when all are constant.
     profiles: Vec<WeightProfile>,
     /// `W(O)` when the profile is constant, NaN when it fluctuates.
     constant: Vec<f64>,
 }
 
 impl WeightSet {
-    /// Builds the set, precomputing the constant fast-path array.
-    pub fn new(profiles: Vec<WeightProfile>) -> Self {
-        let constant = profiles
+    /// Builds the set, precomputing the constant fast-path array and
+    /// dropping the profiles if none of them fluctuates.
+    pub fn new(mut profiles: Vec<WeightProfile>) -> Self {
+        let constant: Vec<f64> = profiles
             .iter()
             .map(|w| w.constant_value().unwrap_or(f64::NAN))
             .collect();
+        if !constant.iter().any(|w| w.is_nan()) {
+            profiles = Vec::new();
+        }
         WeightSet { profiles, constant }
     }
 
     /// Number of objects covered.
     pub fn len(&self) -> usize {
-        self.profiles.len()
+        self.constant.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
+        self.constant.is_empty()
     }
 
     /// `W(O, t)` for object `idx` — the hot-path lookup.
@@ -144,16 +153,6 @@ impl WeightSet {
         } else {
             w
         }
-    }
-
-    /// The full profile of object `idx`.
-    pub fn profile(&self, idx: usize) -> &WeightProfile {
-        &self.profiles[idx]
-    }
-
-    /// All profiles, in object order.
-    pub fn profiles(&self) -> &[WeightProfile] {
-        &self.profiles
     }
 }
 
@@ -213,24 +212,33 @@ mod tests {
         let _ = WeightProfile::constant(-1.0);
     }
 
-    #[test]
-    fn weight_set_matches_profiles_bit_for_bit() {
-        let profiles = vec![
-            WeightProfile::unit(),
-            WeightProfile::constant(3.25),
-            WeightProfile::new(Wave::with_period(2.0, 0.5, 100.0, 0.3), Wave::Constant(1.5)),
-        ];
-        let set = WeightSet::new(profiles.clone());
-        assert_eq!(set.len(), 3);
+    /// `weight_at` over `profiles` must replay each profile bit for bit.
+    fn assert_replays(set: &WeightSet, profiles: &[WeightProfile]) {
+        assert_eq!(set.len(), profiles.len());
         for (i, p) in profiles.iter().enumerate() {
             for s in [0.0, 1.0, 25.0, 137.5] {
                 let t = t(s);
                 assert_eq!(set.weight_at(i, t).to_bits(), p.weight_at(t).to_bits());
             }
         }
-        // Constant profiles take the dense path; fluctuating ones keep the
-        // full profile.
-        assert_eq!(set.profile(2).constant_value(), None);
-        assert_eq!(set.profile(1).constant_value(), Some(3.25));
+    }
+
+    #[test]
+    fn weight_set_matches_profiles_bit_for_bit() {
+        let constant = vec![WeightProfile::unit(), WeightProfile::constant(3.25)];
+        let set = WeightSet::new(constant.clone());
+        // All constant: the dense array alone answers every lookup.
+        assert!(set.profiles.is_empty());
+        assert_replays(&set, &constant);
+
+        let mut mixed = constant;
+        mixed.push(WeightProfile::new(
+            Wave::with_period(2.0, 0.5, 100.0, 0.3),
+            Wave::Constant(1.5),
+        ));
+        let set = WeightSet::new(mixed.clone());
+        // One fluctuating profile: every profile is retained.
+        assert_eq!(set.profiles, mixed);
+        assert_replays(&set, &mixed);
     }
 }

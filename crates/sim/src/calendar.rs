@@ -17,24 +17,41 @@
 
 use crate::time::SimTime;
 
+/// End of a bucket's list.
+const NIL: u32 = u32::MAX;
+
+/// One slot's pending event, linked into its bucket's list.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Node {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    /// The next slot in the same bucket, or [`NIL`].
+    next: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
 
 /// A calendar (bucket) queue keyed by [`SimTime`]: amortized O(1)
 /// schedule and pop for the dense, self-rescheduling event populations of
 /// the paper's simulations.
 ///
 /// Time is divided into buckets of fixed width `delta`; bucket `⌊t/δ⌋`
-/// (mod a power-of-two bucket count) holds the events of that window, as a
-/// small unordered `Vec`. Popping scans the current bucket for the minimum
-/// `(time, seq)` entry — buckets hold ~1 entry when `delta` matches the
-/// mean event spacing — and walks forward through empty buckets one
-/// comparison each. Unlike a binary heap, no operation chases pointers
-/// through log n cache lines: the hot bucket is one contiguous line.
+/// (mod a power-of-two bucket count) holds the events of that window.
+/// Popping walks the current bucket for the minimum `(time, seq)` entry —
+/// buckets hold ~1 entry when `delta` matches the mean event spacing —
+/// and steps forward through empty buckets one comparison each.
+///
+/// # Layout
+///
+/// Each slot owns one 24-byte node `{at, seq, next}`, and each bucket one
+/// `u32` list head: a bucket is an intrusive singly-linked list of the
+/// slots pending in it, threaded through `next`: 24 B per slot plus 4 B
+/// per bucket. `schedule` links the slot at its
+/// bucket's head; `pop_at_or_before` unlinks the window minimum, so order
+/// within a list is irrelevant. Both arrays are sized in
+/// [`new`](CalendarQueue::new) — the bucket count only ever shrinks
+/// below, or grows back up to, its initial value — so the queue never
+/// allocates after construction.
 ///
 /// Same ordering contract as [`EventQueue`](crate::EventQueue):
 /// ascending time, FIFO within an instant via a global schedule seq
@@ -53,7 +70,7 @@ struct Entry {
 /// Large queues (≥ [`RESIZE_AUTO_MIN_BUCKETS`] buckets) monitor their own
 /// occupancy and observed event rate and rebuild the bucket array when
 /// either drifts out of band — see [`CalendarQueue::set_auto_resize`].
-/// A rebuild redistributes every pending entry under the new bucket
+/// A rebuild relinks every pending node under the new bucket
 /// width/count and restarts the scan at `now`'s window. Pop order is
 /// unaffected **by construction**: `pop_at_or_before` always returns the
 /// global `(time, seq)` minimum among pending entries regardless of
@@ -65,7 +82,10 @@ struct Entry {
 /// for the monitoring.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
-    buckets: Vec<Vec<Entry>>,
+    /// One node per slot; only pending slots are linked into a bucket.
+    nodes: Vec<Node>,
+    /// The first slot of each bucket's list, or [`NIL`] when empty.
+    heads: Vec<u32>,
     /// Debug-only guard for the one-pending-event-per-slot contract.
     #[cfg(debug_assertions)]
     pending: Vec<bool>,
@@ -107,21 +127,32 @@ const RESIZE_CHECK_STRIDE: u32 = 1024;
 const RESIZE_MIN_EPOCH_POPS: u64 = 256;
 
 impl CalendarQueue {
-    /// Creates a queue sized for about `slots` concurrently pending
-    /// events whose typical spacing is `mean_gap` seconds (the bucket
-    /// width). The bucket count is `slots` rounded up to a power of two,
-    /// so average occupancy stays near one entry per bucket.
+    /// Creates a queue for slots `0..slots` whose events' typical spacing
+    /// is `mean_gap` seconds (the bucket width). The bucket count is
+    /// `slots` rounded up to a power of two, so average occupancy stays
+    /// near one entry per bucket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` does not fit below `u32::MAX`.
     pub fn new(slots: usize, mean_gap: f64) -> Self {
+        assert!(slots < NIL as usize, "too many slots: {slots}");
         let delta = if mean_gap.is_finite() && mean_gap > 0.0 {
             mean_gap.clamp(1e-6, 3600.0)
         } else {
             1.0
         };
         let count = slots.max(2).next_power_of_two();
+        let unlinked = Node {
+            at: SimTime::ZERO,
+            seq: 0,
+            next: NIL,
+        };
         CalendarQueue {
-            buckets: vec![Vec::new(); count],
+            nodes: vec![unlinked; slots],
+            heads: vec![NIL; count],
             #[cfg(debug_assertions)]
-            pending: vec![false; slots.max(2)],
+            pending: vec![false; slots],
             mask: count as u64 - 1,
             delta,
             inv_delta: 1.0 / delta,
@@ -157,7 +188,7 @@ impl CalendarQueue {
 
     /// Current number of buckets (a power of two).
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.heads.len()
     }
 
     /// Number of pending events.
@@ -186,12 +217,21 @@ impl CalendarQueue {
         (at.seconds() * self.inv_delta) as u64
     }
 
+    /// Links `slot` at the head of the bucket for `at`.
+    #[inline]
+    fn link(&mut self, slot: u32, at: SimTime) {
+        let b = (self.abs_bucket(at) & self.mask) as usize;
+        self.nodes[slot as usize].next = self.heads[b];
+        self.heads[b] = slot;
+    }
+
     /// Schedules `slot` to fire at `at`. The slot must not already be
     /// queued (one pending event per slot).
     ///
     /// # Panics
     ///
-    /// Panics if `at` is before the current simulation time.
+    /// Panics if `at` is before the current simulation time, or if `slot`
+    /// is not below the slot count given to [`new`](CalendarQueue::new).
     pub fn schedule(&mut self, slot: u32, at: SimTime) {
         assert!(
             at >= self.now,
@@ -207,13 +247,12 @@ impl CalendarQueue {
                 self.consider_resize();
             }
         }
-        let abs = self.abs_bucket(at);
         // The pop scan never revisits windows behind `cur_abs`; an entry
         // there would be lost. This cannot happen when scheduling from an
         // event handler (the scan sits on the handled event's window), only
         // by scheduling right after an exhausted pop — forbid it loudly.
         assert!(
-            abs >= self.cur_abs,
+            self.abs_bucket(at) >= self.cur_abs,
             "cannot schedule slot {slot} at {at:?} behind the scan window"
         );
         #[cfg(debug_assertions)]
@@ -223,10 +262,11 @@ impl CalendarQueue {
                 "slot {slot} scheduled while already pending"
             );
         }
-        let seq = self.seq;
+        let node = &mut self.nodes[slot as usize];
+        node.at = at;
+        node.seq = self.seq;
         self.seq += 1;
-        let b = (abs & self.mask) as usize;
-        self.buckets[b].push(Entry { at, seq, slot });
+        self.link(slot, at);
         self.len += 1;
     }
 
@@ -240,33 +280,42 @@ impl CalendarQueue {
         let limit_abs = self.abs_bucket(limit);
         loop {
             let b = (self.cur_abs & self.mask) as usize;
-            let bucket = &self.buckets[b];
             // Min (time, seq) among entries belonging to this absolute
-            // bucket (aliases from other "years" are skipped).
-            let mut best: Option<(usize, SimTime, u64)> = None;
-            for (i, e) in bucket.iter().enumerate() {
-                if self.abs_bucket(e.at) != self.cur_abs {
-                    continue;
+            // bucket (aliases from other "years" are skipped), with its
+            // predecessor in the list for the unlink.
+            let mut best: Option<(u32, u32, SimTime, u64)> = None;
+            let mut prev = NIL;
+            let mut i = self.heads[b];
+            while i != NIL {
+                let e = self.nodes[i as usize];
+                if self.abs_bucket(e.at) == self.cur_abs {
+                    match best {
+                        Some((_, _, bat, bseq)) if (bat, bseq) <= (e.at, e.seq) => {}
+                        _ => best = Some((i, prev, e.at, e.seq)),
+                    }
                 }
-                match best {
-                    Some((_, bat, bseq)) if (bat, bseq) <= (e.at, e.seq) => {}
-                    _ => best = Some((i, e.at, e.seq)),
-                }
+                prev = i;
+                i = e.next;
             }
             match best {
-                Some((i, at, _)) => {
+                Some((slot, prev, at, _)) => {
                     if at > limit {
                         return None;
                     }
-                    let e = self.buckets[b].swap_remove(i);
+                    let next = self.nodes[slot as usize].next;
+                    if prev == NIL {
+                        self.heads[b] = next;
+                    } else {
+                        self.nodes[prev as usize].next = next;
+                    }
                     self.len -= 1;
                     self.epoch_pops += 1;
-                    self.now = e.at;
+                    self.now = at;
                     #[cfg(debug_assertions)]
                     {
-                        self.pending[e.slot as usize] = false;
+                        self.pending[slot as usize] = false;
                     }
-                    return Some((e.at, e.slot));
+                    return Some((at, slot));
                 }
                 None => {
                     // This bucket window is drained; move on — but never
@@ -296,7 +345,7 @@ impl CalendarQueue {
         if epoch_pops < RESIZE_MIN_EPOCH_POPS {
             return;
         }
-        let count = self.buckets.len();
+        let count = self.heads.len();
         let mut new_count = count;
         if self.len >= count.saturating_mul(2) {
             new_count = self.len.next_power_of_two();
@@ -315,30 +364,39 @@ impl CalendarQueue {
         }
     }
 
-    /// Redistributes every pending entry under `new_count` buckets of
-    /// width `new_delta` and restarts the scan at `now`'s window. Safe at
-    /// any point between pops: every pending entry fires at or after
-    /// `now` (pop returns the global minimum and advances the clock to
-    /// it), and `⌊t·(1/δ)⌋` is monotone in `t`, so no entry lands behind
-    /// the restarted scan. Entry `(at, seq)` stamps are untouched, so the
-    /// pop stream is bit-identical to a queue that never resized.
+    /// Relinks every pending node under `new_count` buckets of width
+    /// `new_delta` and restarts the scan at `now`'s window. Safe at any
+    /// point between pops: every pending entry fires at or after `now`
+    /// (pop returns the global minimum and advances the clock to it), and
+    /// `⌊t·(1/δ)⌋` is monotone in `t`, so no entry lands behind the
+    /// restarted scan. Node `(at, seq)` stamps are untouched, so the pop
+    /// stream is bit-identical to a queue that never resized.
     fn rebuild(&mut self, new_count: usize, new_delta: f64) {
         debug_assert!(new_count.is_power_of_two());
-        let mut entries: Vec<Entry> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            entries.append(b);
+        // The occupancy trigger sizes to at most the pending count, which
+        // never exceeds the slot count `new` sized the heads for, so the
+        // head array only ever shrinks or regrows within its capacity.
+        assert!(new_count <= self.heads.capacity());
+        // Unlink every pending node onto one chain, then relink it.
+        let mut chain = NIL;
+        for head in &mut self.heads {
+            let mut i = std::mem::replace(head, NIL);
+            while i != NIL {
+                let node = &mut self.nodes[i as usize];
+                let next = std::mem::replace(&mut node.next, chain);
+                chain = i;
+                i = next;
+            }
         }
-        if new_count != self.buckets.len() {
-            self.buckets.clear();
-            self.buckets.resize(new_count, Vec::new());
-        }
+        self.heads.resize(new_count, NIL);
         self.mask = new_count as u64 - 1;
         self.delta = new_delta;
         self.inv_delta = 1.0 / new_delta;
         self.cur_abs = self.abs_bucket(self.now);
-        for e in entries {
-            let b = (self.abs_bucket(e.at) & self.mask) as usize;
-            self.buckets[b].push(e);
+        while chain != NIL {
+            let Node { at, next, .. } = self.nodes[chain as usize];
+            self.link(chain, at);
+            chain = next;
         }
         self.resizes += 1;
     }
@@ -451,6 +509,44 @@ mod tests {
         assert_eq!(q.pop_at_or_before(horizon), Some((t(1.0), 3)));
         assert_eq!(q.pop_at_or_before(horizon), Some((t(2.1), 1)));
         assert_eq!(q.pop_at_or_before(horizon), Some((t(40.1), 2)));
+    }
+
+    /// The slots linked into bucket `b`, head first.
+    fn bucket_list(q: &CalendarQueue, b: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut i = q.heads[b];
+        while i != NIL {
+            out.push(i);
+            i = q.nodes[i as usize].next;
+        }
+        out
+    }
+
+    #[test]
+    fn unlinks_the_window_minimum_from_the_middle_and_tail_of_a_list() {
+        // 4 buckets × 0.5 s: a 2 s year. Slots 0–2 share bucket 0's first
+        // window; slot 3 aliases into bucket 0 from the next year.
+        let mut q = CalendarQueue::new(4, 0.5);
+        q.schedule(0, t(0.1));
+        q.schedule(1, t(0.3));
+        q.schedule(2, t(0.2));
+        q.schedule(3, t(2.05));
+        // Linking at the head reverses schedule order.
+        assert_eq!(bucket_list(&q, 0), [3, 2, 1, 0]);
+        let horizon = t(100.0);
+        // The minimum sits at the tail.
+        assert_eq!(q.pop_at_or_before(horizon), Some((t(0.1), 0)));
+        assert_eq!(bucket_list(&q, 0), [3, 2, 1]);
+        // Now in the middle, behind the alias.
+        assert_eq!(q.pop_at_or_before(horizon), Some((t(0.2), 2)));
+        assert_eq!(bucket_list(&q, 0), [3, 1]);
+        // At the tail again; the alias is skipped until its own year.
+        assert_eq!(q.pop_at_or_before(horizon), Some((t(0.3), 1)));
+        assert_eq!(bucket_list(&q, 0), [3]);
+        assert_eq!(q.pop_at_or_before(horizon), Some((t(2.05), 3)));
+        assert_eq!(bucket_list(&q, 0), [] as [u32; 0]);
+        assert!(q.is_empty());
+        assert_eq!(q.pop_at_or_before(horizon), None);
     }
 
     /// The calendar queue pops the identical (time, slot) sequence as the
