@@ -3,9 +3,9 @@
 //! Runs the shared scenario suite (`besync_scenarios::suite()`) end to
 //! end — the [`CoopSystem`] hot path plus the figure-regeneration
 //! schedulers — reports wall-clock time and simulation events per second
-//! for each, and optionally writes a machine-readable JSON trajectory
-//! point (e.g. `BENCH_pr2.json` at the repo root) so successive PRs can
-//! be compared with the *same* binary run on both trees.
+//! for each, and optionally writes the run in the codec's key/value text
+//! form (`BenchRun`; `BENCH_baseline.txt` at the repo root is one) so
+//! two trees can be compared with the *same* binary.
 //!
 //! ```text
 //! besync-bench [--out PATH] [--compare PATH] [--tolerance F]
@@ -36,7 +36,10 @@ use std::time::{Duration, Instant};
 use besync::fault::{FaultProfile, RecoveryPolicy};
 use besync_scenarios::{by_name, suite, ScenarioSpec, SystemKind};
 use besync_sweep::{sweep, Shards, SweepOptions, SweepOutcome};
-use besync_verify::{check_scenario, collect, ScenarioStats, StatBaseline, Tier};
+use besync_verify::{
+    check_scenario, collect, compare_against_baseline, BenchRun, BenchScenario, ScenarioStats,
+    StatBaseline, Tier,
+};
 
 /// Counting shim over the system allocator: live-bytes plus a
 /// resettable high-water mark, two relaxed atomics per call. This is
@@ -106,11 +109,11 @@ fn splitmix64(mut x: u64) -> u64 {
 /// bisection, reconstructed from the retained `invert_g_bisect`
 /// oracle (core solve only — no residual pass — so the measured
 /// speedup under-reports slightly). Minimum of five reps each;
-/// recorded in the bench JSON as `cgm_alloc` so allocator-speedup
-/// claims are pinned to a measurement, not a recollection.
-fn cgm_alloc_ab() -> (usize, f64, f64) {
+/// recorded in `--out` as `cgm_alloc_*` so allocator-speedup claims
+/// are pinned to a measurement, not a recollection.
+fn cgm_alloc_ab() -> (u32, f64, f64) {
     use besync_baselines::freshness::{allocate, invert_g_bisect};
-    let n = 2048usize;
+    let n = 2048;
     let budget = 614.0f64;
     let mut state = 0x00c0_ffeeu64;
     let rates: Vec<f64> = (0..n)
@@ -182,8 +185,8 @@ fn cgm_alloc_ab() -> (usize, f64, f64) {
 
 /// Fixed floating-point microbenchmark, wall-clocked: a deterministic
 /// mix of the simulator's hot arithmetic (`ln`, `exp`, Welford-style
-/// accumulation over a splitmix64 stream). Recorded in the bench JSON
-/// as `calibration_seconds` so trajectory comparisons can tell a slower
+/// accumulation over a splitmix64 stream). Recorded in `--out` as
+/// `calibration_seconds` so trajectory comparisons can tell a slower
 /// *container* from a slower *tree* — the BENCH_pr6.json wall-clock
 /// anomaly was exactly that ambiguity. Minimum of three reps: the
 /// calibration must track the machine's speed, not its scheduling
@@ -212,7 +215,7 @@ fn calibration_seconds() -> f64 {
 /// bit-for-bit across repeats (same seed ⇒ same simulation); a mismatch
 /// aborts, because it means the tree has lost determinism and its
 /// timings compare nothing.
-fn run_scenario(scenario: &ScenarioSpec, repeats: usize) -> ScenarioResult {
+fn run_scenario(scenario: &ScenarioSpec, repeats: usize) -> BenchScenario {
     let mut walls = Vec::with_capacity(repeats);
     let mut builds = Vec::with_capacity(repeats);
     let mut reference: Option<(u64, u64, u64, f64)> = None;
@@ -252,12 +255,12 @@ fn run_scenario(scenario: &ScenarioSpec, repeats: usize) -> ScenarioResult {
     let wall = walls[walls.len() / 2];
     let build = builds[builds.len() / 2];
     let events = report.updates_processed + report.refreshes_sent + report.feedback_messages;
-    ScenarioResult {
+    BenchScenario {
         name: scenario.name.clone(),
         seed: scenario.seed,
-        system: scenario.system.name(),
+        system: scenario.system.name().to_string(),
         objects: scenario.total_objects(),
-        metric: scenario.metric.name(),
+        metric: scenario.metric.name().to_string(),
         build_seconds: build,
         wall_seconds: wall,
         events,
@@ -268,276 +271,6 @@ fn run_scenario(scenario: &ScenarioSpec, repeats: usize) -> ScenarioResult {
         feedback: report.feedback_messages,
         mean_divergence: report.mean_divergence(),
         alloc_peak_bytes: alloc_peak_bytes(),
-        baseline_events_per_sec: None,
-    }
-}
-
-struct ScenarioResult {
-    name: String,
-    seed: u64,
-    system: &'static str,
-    objects: u32,
-    metric: &'static str,
-    /// Median workload + system construction time (untimed region of the
-    /// throughput figure, reported so 100k-scale construction can't rot).
-    build_seconds: f64,
-    wall_seconds: f64,
-    events: u64,
-    events_per_sec: f64,
-    updates: u64,
-    refreshes_sent: u64,
-    refreshes_delivered: u64,
-    feedback: u64,
-    mean_divergence: f64,
-    /// Per-scenario heap high-water mark from the counting allocator
-    /// (reset before each scenario's repeats) — the number that means
-    /// "this scenario needs this much memory".
-    alloc_peak_bytes: u64,
-    /// Filled by `--compare`: the baseline file's events/sec for this
-    /// scenario, so the written JSON records the measured speedup.
-    baseline_events_per_sec: Option<f64>,
-}
-
-impl ScenarioResult {
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            concat!(
-                "    {{\n",
-                "      \"name\": \"{}\",\n",
-                "      \"seed\": {},\n",
-                "      \"system\": \"{}\",\n",
-                "      \"objects\": {},\n",
-                "      \"metric\": \"{}\",\n",
-                "      \"build_seconds\": {:.6},\n",
-                "      \"wall_seconds\": {:.6},\n",
-                "      \"events\": {},\n",
-                "      \"events_per_sec\": {:.1},\n",
-                "      \"updates\": {},\n",
-                "      \"refreshes_sent\": {},\n",
-                "      \"refreshes_delivered\": {},\n",
-                "      \"feedback\": {},\n",
-                "      \"mean_divergence\": {:.9},\n",
-                "      \"alloc_peak_bytes\": {}"
-            ),
-            self.name,
-            self.seed,
-            self.system,
-            self.objects,
-            self.metric,
-            self.build_seconds,
-            self.wall_seconds,
-            self.events,
-            self.events_per_sec,
-            self.updates,
-            self.refreshes_sent,
-            self.refreshes_delivered,
-            self.feedback,
-            self.mean_divergence,
-            self.alloc_peak_bytes,
-        );
-        if let Some(base) = self.baseline_events_per_sec {
-            s.push_str(&format!(
-                ",\n      \"baseline_events_per_sec\": {:.1},\n      \"speedup\": {:.3}",
-                base,
-                self.events_per_sec / base.max(1e-12)
-            ));
-        }
-        s.push_str("\n    }");
-        s
-    }
-}
-
-/// Minimal field extractor for the bench JSON schema (our own files
-/// only): finds `"key": value` inside one scenario block and returns the
-/// raw value text. Not a general JSON parser — the schema is flat,
-/// one-line-per-field, which is exactly what `to_json` above emits.
-fn field<'a>(block: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = block.find(&pat)? + pat.len();
-    let rest = block[start..].trim_start();
-    let end = rest.find(['\n', ','])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-struct BaselineScenario {
-    name: String,
-    seed: u64,
-    updates: u64,
-    refreshes_sent: u64,
-    refreshes_delivered: u64,
-    feedback: u64,
-    mean_divergence: f64,
-    events_per_sec: f64,
-    /// Absent in baselines recorded before the v5 schema.
-    alloc_peak_bytes: Option<u64>,
-}
-
-/// Parses a `besync-bench` JSON file into per-scenario baselines.
-/// Returns `(quick, scenarios)`.
-fn parse_baseline(text: &str) -> Option<(bool, Vec<BaselineScenario>)> {
-    let quick = field(text, "quick")? == "true";
-    let mut out = Vec::new();
-    let body = &text[text.find("\"scenarios\"")?..];
-    for block in body.split("{\n").skip(1) {
-        let parse = |key: &str| -> Option<f64> { field(block, key)?.parse().ok() };
-        out.push(BaselineScenario {
-            name: field(block, "name")?.to_string(),
-            seed: parse("seed")? as u64,
-            updates: parse("updates")? as u64,
-            refreshes_sent: parse("refreshes_sent")? as u64,
-            refreshes_delivered: parse("refreshes_delivered")? as u64,
-            feedback: parse("feedback")? as u64,
-            mean_divergence: parse("mean_divergence")?,
-            events_per_sec: parse("events_per_sec")?,
-            alloc_peak_bytes: field(block, "alloc_peak_bytes").and_then(|v| v.parse().ok()),
-        });
-    }
-    Some((quick, out))
-}
-
-/// Compares current results against a baseline file. Counter mismatches
-/// (lost determinism) are fatal; events/sec regressions beyond
-/// `tolerance` are report-only. Fills each result's baseline speedup
-/// field. Returns `Err(reasons)` only on determinism mismatches.
-fn compare_against_baseline(
-    results: &mut [ScenarioResult],
-    baseline_text: &str,
-    baseline_path: &str,
-    quick: bool,
-    tolerance: f64,
-    cur_calibration: Option<f64>,
-) -> Result<(), Vec<String>> {
-    let Some((base_quick, baselines)) = parse_baseline(baseline_text) else {
-        return Err(vec![format!("could not parse baseline {baseline_path}")]);
-    };
-    // Machine-speed ratio between the two recordings, when both carry a
-    // calibration point: > 1 means this container is slower than the one
-    // the baseline was recorded on, and raw events/sec deltas by that
-    // factor are container drift, not tree regressions.
-    let cal_ratio: Option<f64> = match (
-        cur_calibration,
-        field(baseline_text, "calibration_seconds").and_then(|v| v.parse::<f64>().ok()),
-    ) {
-        (Some(cur), Some(base)) if cur > 0.0 && base > 0.0 => {
-            let ratio = cur / base;
-            eprintln!(
-                "compare: calibration {cur:.3}s vs {base:.3}s in {baseline_path} — this \
-                 container runs the fixed FP workload {ratio:.2}x the baseline's wall-clock"
-            );
-            Some(ratio)
-        }
-        _ => None,
-    };
-    if base_quick != quick {
-        eprintln!(
-            "compare: baseline {baseline_path} was recorded with quick={base_quick}, this run \
-             uses quick={quick}; counters are incomparable, skipping"
-        );
-        return Ok(());
-    }
-    // Baseline rows with no current counterpart mean coverage shrank
-    // (a renamed/removed scenario) — say so instead of silently gating
-    // less than the checked-in file records.
-    for b in &baselines {
-        if !results.iter().any(|r| r.name == b.name) {
-            eprintln!(
-                "compare: baseline scenario `{}` not in this run (renamed or filtered?); \
-                 its counters were not checked",
-                b.name
-            );
-        }
-    }
-    let mut mismatches = Vec::new();
-    for r in results.iter_mut() {
-        let Some(b) = baselines.iter().find(|b| b.name == r.name) else {
-            eprintln!("compare: `{}` absent from baseline, skipping", r.name);
-            continue;
-        };
-        if b.seed != r.seed {
-            eprintln!(
-                "compare: `{}` seed changed ({} -> {}), skipping",
-                r.name, b.seed, r.seed
-            );
-            continue;
-        }
-        let counters_match = b.updates == r.updates
-            && b.refreshes_sent == r.refreshes_sent
-            && b.refreshes_delivered == r.refreshes_delivered
-            && b.feedback == r.feedback
-            && (b.mean_divergence - r.mean_divergence).abs() < 1e-8;
-        if !counters_match {
-            mismatches.push(format!(
-                "`{}`: counters diverge from {baseline_path} — baseline \
-                 (updates {}, sent {}, delivered {}, feedback {}, div {:.9}) vs current \
-                 (updates {}, sent {}, delivered {}, feedback {}, div {:.9})",
-                r.name,
-                b.updates,
-                b.refreshes_sent,
-                b.refreshes_delivered,
-                b.feedback,
-                b.mean_divergence,
-                r.updates,
-                r.refreshes_sent,
-                r.refreshes_delivered,
-                r.feedback,
-                r.mean_divergence,
-            ));
-            continue;
-        }
-        r.baseline_events_per_sec = Some(b.events_per_sec);
-        let ratio = r.events_per_sec / b.events_per_sec.max(1e-12);
-        // `ratio * cal_ratio` discounts container speed drift; without a
-        // calibration point on both sides the raw ratio is all there is.
-        let adjusted = cal_ratio.map(|c| ratio * c);
-        let adj_note = adjusted.map_or(String::new(), |a| format!(", {a:.2}x adjusted"));
-        if adjusted.unwrap_or(ratio) < 1.0 - tolerance {
-            // Report-only: CI runner timing noise must not fail PRs, but
-            // the trajectory is visible in the log and the artifact.
-            eprintln!(
-                "compare: PERF REGRESSION (report-only) `{}`: {:.0} events/sec vs baseline \
-                 {:.0} ({:.2}x{adj_note}, tolerance {:.0}%)",
-                r.name,
-                r.events_per_sec,
-                b.events_per_sec,
-                ratio,
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!(
-                "compare: `{}` {:.2}x baseline events/sec{adj_note} (ok)",
-                r.name, ratio
-            );
-        }
-        // Memory trajectory, report-only like the perf line: allocation
-        // peaks are deterministic in principle but allocator-version
-        // sensitive, so they inform rather than gate.
-        if let Some(base_alloc) = b.alloc_peak_bytes.filter(|&b| b > 0) {
-            let mem_ratio = r.alloc_peak_bytes as f64 / base_alloc as f64;
-            let mb = 1.0 / (1024.0 * 1024.0);
-            if mem_ratio > 1.0 + tolerance {
-                eprintln!(
-                    "compare: MEM REGRESSION (report-only) `{}`: alloc peak {:.1} MiB vs \
-                     baseline {:.1} MiB ({:.2}x, tolerance {:.0}%)",
-                    r.name,
-                    r.alloc_peak_bytes as f64 * mb,
-                    base_alloc as f64 * mb,
-                    mem_ratio,
-                    tolerance * 100.0
-                );
-            } else {
-                eprintln!(
-                    "compare: `{}` alloc peak {:.1} MiB, {:.2}x baseline (ok)",
-                    r.name,
-                    r.alloc_peak_bytes as f64 * mb,
-                    mem_ratio
-                );
-            }
-        }
-    }
-    if mismatches.is_empty() {
-        Ok(())
-    } else {
-        Err(mismatches)
     }
 }
 
@@ -545,7 +278,7 @@ fn compare_against_baseline(
 /// exactly: every counter equal, mean divergence bit-identical. Any
 /// difference means the worker pipeline (codec, protocol, merge order)
 /// changed the simulation — lost determinism.
-fn check_sharded_counters(classic: &ScenarioResult, sharded: &SweepOutcome) -> Result<(), String> {
+fn check_sharded_counters(classic: &BenchScenario, sharded: &SweepOutcome) -> Result<(), String> {
     let r = &sharded.report;
     let pairs = [
         ("updates", classic.updates, r.updates_processed),
@@ -616,17 +349,15 @@ besync-bench — seeded end-to-end throughput scenarios for the paper's schedule
 usage: besync-bench [--out PATH] [--compare PATH] [--tolerance F]
                     [--only NAME] [--repeat N] [--quick] [--shards LIST]
                     [--spec-deadline SECS] [--list] [--fault-sweep]
-       besync-bench verify [--accept bits|stats] ...   (see `verify --help`)
+       besync-bench verify ...   (statistical acceptance, see `verify --help`)
 
-  --out PATH       write results as JSON (e.g. BENCH_pr2.json); never run this
-                   against a checked-in baseline path in CI — write elsewhere
-                   and upload as an artifact
+  --out PATH       write the run as a key/value text baseline (the form of
+                   BENCH_baseline.txt); never run this against a checked-in
+                   baseline path in CI — write elsewhere and upload it
   --compare PATH   compare against a previous --out file: events/sec deltas
-                   beyond the tolerance are reported (exit 0), counter
-                   mismatches hard-fail (exit 1, lost determinism); may be
-                   given multiple times — one measurement run is compared
-                   against every baseline, and the written speedup fields
-                   refer to the last matching one
+                   beyond the tolerance are reported (exit 0); counter
+                   mismatches (lost determinism), a quick/full mismatch and
+                   a run that pairs no scenario with the baseline fail (exit 1)
   --tolerance F    allowed fractional events/sec regression (default 0.25)
   --only NAME      run a single scenario by name
   --repeat N       repeats per scenario, median wall clock reported (default 3)
@@ -636,7 +367,7 @@ usage: besync-bench [--out PATH] [--compare PATH] [--tolerance F]
                    in-process threads, N = N worker processes), report grid
                    wall-clock, and hard-fail if any merged counter differs
                    from the in-process table (the sharded runner's
-                   byte-identity contract); recorded as shards_grid in --out
+                   byte-identity contract)
   --spec-deadline  seconds a worker may hold one spec before it is presumed
                    hung and replaced (default 600; 0 disables)
   --list           print scenario names with descriptions and exit
@@ -648,56 +379,40 @@ usage: besync-bench [--out PATH] [--compare PATH] [--tolerance F]
                    refresh-loss lane (honours --quick; ignores the
                    measurement flags)
 
-verification: the `verify` subcommand unifies the repo's two acceptance
-tiers under one flag surface. `verify --accept bits` replays the suite and
-demands bit-identical counters against a bench JSON baseline (what
-`--compare` has always gated; that flag remains as the inline spelling).
-`verify --accept stats` runs scenarios across N derived seeds and checks
-metric moments against STATS_baseline.txt — the gate that survives
-intentional numerics changes. See `besync-bench verify --help`.";
+Counter identity is the --compare gate. `verify` is the statistical gate: it
+runs scenarios across N derived seeds and checks metric moments against
+STATS_baseline.txt, the gate that survives intentional numerics changes.";
 
 const VERIFY_HELP: &str = "\
-besync-bench verify — counter-identity and statistical acceptance gates
+besync-bench verify — statistical acceptance against STATS_baseline.txt
 
-usage: besync-bench verify [--accept bits|stats] [--baseline PATH]
-                           [--scenarios A,B,..] [--seeds N]
-                           [--tier strict|standard|loose] [--record]
-                           [--tolerance F] [--repeat N] [--quick]
+usage: besync-bench verify [--baseline PATH] [--scenarios A,B,..] [--seeds N]
+                           [--tier strict|standard|loose] [--record] [--quick]
                            [--shards N] [--spec-deadline SECS]
 
-  --accept bits    tier 1, bit identity: run the bench suite once and demand
-                   every counter match the bench-JSON baseline(s) exactly
-                   (events/sec deltas are report-only, counters hard-fail).
-                   Needs at least one --baseline pointing at a BENCH_*.json.
-                   Catches *any* trajectory change; right for refactors that
-                   promise not to move the simulation at all.
-  --accept stats   tier 2, distribution identity (default): run each scenario
-                   across N derived seeds, fold the recorded metrics into
-                   moments, and z-check them against the stored baseline.
-                   Right for intentional numerics changes (solver swaps,
-                   resampled randomness) whose physics must not move.
-  --baseline PATH  bits: bench JSON baseline; repeatable, all are checked.
-                   stats: the moments file (default STATS_baseline.txt)
-  --scenarios L    stats: comma-separated scenario names (default: the four
-                   medium scheduler scenarios + the four fault regimes
+Runs each scenario across N derived seeds, folds the recorded metrics into
+moments, and z-checks them against the stored baseline. Right for
+intentional numerics changes (solver swaps, resampled randomness) whose
+physics must not move; counter identity is `besync-bench --compare`.
+
+  --baseline PATH  the moments file (default STATS_baseline.txt)
+  --scenarios L    comma-separated scenario names (default: the four medium
+                   scheduler scenarios + the four fault regimes
                    lossy/outage/lossy_aware/competitive_lossy)
-  --seeds N        stats: derived seeds per scenario (default 32)
-  --tier T         stats: acceptance tier — strict (z<=3, refactors),
-                   standard (z<=4, numerics changes; default), loose (z<=6,
-                   small-N smoke)
-  --record         stats: write/refresh the baseline entries instead of
-                   checking (commit the file alongside the change)
-  --tolerance F    bits: allowed fractional events/sec regression, report-only
-                   (default 0.25)
-  --repeat N       bits: repeats per scenario (default 1)
-  --quick          CI smoke scale for either tier; stats baselines store
-                   quick and full entries separately
+  --seeds N        derived seeds per scenario (default 32)
+  --tier T         acceptance tier — strict (z<=3, refactors), standard
+                   (z<=4, numerics changes; default), loose (z<=6, small-N
+                   smoke)
+  --record         write/refresh the baseline entries instead of checking
+                   (commit the file alongside the change)
+  --quick          CI smoke scale; baselines store quick and full entries
+                   separately
   --shards N       run the underlying sweeps over N worker processes
   --spec-deadline  per-spec worker deadline in seconds (0 disables)";
 
 /// Runs each selected scenario and prints the per-scenario table row by
-/// row (shared by the main flow and `verify --accept bits`).
-fn run_table(selected: &[ScenarioSpec], repeats: usize) -> Vec<ScenarioResult> {
+/// row.
+fn run_table(selected: &[ScenarioSpec], repeats: usize) -> Vec<BenchScenario> {
     println!(
         "{:<15} {:>9} {:>8} {:>10} {:>10} {:>11} {:>12} {:>11} {:>10} {:>10}",
         "scenario",
@@ -809,7 +524,7 @@ fn main() -> std::process::ExitCode {
         return verify_main(std::env::args().skip(2).collect());
     }
     let mut out: Option<String> = None;
-    let mut compare: Vec<String> = Vec::new();
+    let mut compare: Option<String> = None;
     let mut tolerance = 0.25;
     let mut only: Option<String> = None;
     let mut quick = false;
@@ -822,9 +537,9 @@ fn main() -> std::process::ExitCode {
         match a.as_str() {
             "--out" => out = args.next(),
             "--compare" => match args.next() {
-                Some(path) => compare.push(path),
-                None => {
-                    eprintln!("--compare needs a baseline path");
+                Some(path) if compare.is_none() => compare = Some(path),
+                _ => {
+                    eprintln!("--compare needs one baseline path");
                     return std::process::ExitCode::FAILURE;
                 }
             },
@@ -913,10 +628,7 @@ fn main() -> std::process::ExitCode {
     // Quick mode defaults to a single repeat, but an explicit --repeat
     // wins (CI uses that to cross-check determinism cheaply).
     let repeats = repeats.unwrap_or(if quick { 1 } else { 3 });
-    let mut results = run_table(&selected, repeats);
-
-    // Only pay the ~0.3s calibration when something will read it.
-    let calibration = (out.is_some() || !compare.is_empty()).then(calibration_seconds);
+    let results = run_table(&selected, repeats);
 
     let mut failed = false;
 
@@ -924,7 +636,6 @@ fn main() -> std::process::ExitCode {
     // count. Every merged counter must match the in-process table above
     // bit for bit — the sweep runner's byte-identity contract, checked
     // here across real worker processes on every invocation that asks.
-    let mut shard_points: Vec<(u32, f64)> = Vec::new();
     for &shards in &shards_grid {
         let opts = SweepOptions {
             shards,
@@ -959,69 +670,11 @@ fn main() -> std::process::ExitCode {
             wall,
             selected.len()
         );
-        shard_points.push((shards.count(), wall));
     }
 
-    for path in compare {
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                if let Err(mismatches) = compare_against_baseline(
-                    &mut results,
-                    &text,
-                    &path,
-                    quick,
-                    tolerance,
-                    calibration,
-                ) {
-                    for m in &mismatches {
-                        eprintln!("compare: DETERMINISM MISMATCH {m}");
-                    }
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: could not read baseline {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if let Some(path) = out {
-        let body: Vec<String> = results.iter().map(ScenarioResult::to_json).collect();
-        // shards_grid precedes "scenarios" on purpose: the baseline
-        // parser scans scenario blocks from the "scenarios" key onward.
-        let shards_json = if shard_points.is_empty() {
-            String::new()
-        } else {
-            let entries: Vec<String> = shard_points
-                .iter()
-                .map(|(n, w)| format!("    {{ \"shards\": {n}, \"wall_seconds\": {w:.6} }}"))
-                .collect();
-            format!("  \"shards_grid\": [\n{}\n  ],\n", entries.join(",\n"))
-        };
-        let (alloc_n, alloc_newton, alloc_bisect) = cgm_alloc_ab();
-        eprintln!(
-            "cgm alloc ({alloc_n} objects): newton {:.6}s, bisect {:.6}s, {:.1}x",
-            alloc_newton,
-            alloc_bisect,
-            alloc_bisect / alloc_newton
-        );
-        let json = format!(
-            "{{\n  \"schema\": \"besync-bench/v5\",\n  \"quick\": {},\n  \"calibration_seconds\": {:.6},\n  \"cgm_alloc\": {{ \"objects_ab\": {}, \"newton_seconds\": {:.6}, \"bisect_seconds\": {:.6}, \"speedup\": {:.1} }},\n{}  \"scenarios\": [\n{}\n  ]\n}}\n",
-            quick,
-            calibration.unwrap_or_else(calibration_seconds),
-            alloc_n,
-            alloc_newton,
-            alloc_bisect,
-            alloc_bisect / alloc_newton,
-            shards_json,
-            body.join(",\n")
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("error: could not write {path}: {e}");
-            return std::process::ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
+    // Only pay the calibration and the CGM A/B when something reads them.
+    if out.is_some() || compare.is_some() {
+        failed |= !compare_and_write(results, quick, compare, tolerance, out);
     }
     if failed {
         std::process::ExitCode::FAILURE
@@ -1030,7 +683,57 @@ fn main() -> std::process::ExitCode {
     }
 }
 
-/// Default scenario set for `verify --accept stats`: the headline coop
+/// Records the run as a [`BenchRun`], checks it against the `--compare`
+/// baseline and writes it to `--out`. Returns false if either fails.
+fn compare_and_write(
+    results: Vec<BenchScenario>,
+    quick: bool,
+    compare: Option<String>,
+    tolerance: f64,
+    out: Option<String>,
+) -> bool {
+    let (alloc_n, alloc_newton, alloc_bisect) = cgm_alloc_ab();
+    eprintln!(
+        "cgm alloc ({alloc_n} objects): newton {alloc_newton:.6}s, bisect {alloc_bisect:.6}s, \
+         {:.1}x",
+        alloc_bisect / alloc_newton
+    );
+    let run = BenchRun {
+        quick,
+        calibration_seconds: calibration_seconds(),
+        cgm_alloc_objects: alloc_n,
+        cgm_alloc_newton_seconds: alloc_newton,
+        cgm_alloc_bisect_seconds: alloc_bisect,
+        scenarios: results,
+    };
+    let mut ok = true;
+    if let Some(path) = compare {
+        let compared = BenchRun::load(path.as_ref())
+            .map_err(|e| vec![e])
+            .and_then(|base| compare_against_baseline(&run, &base, &path, tolerance));
+        match compared {
+            Ok(n) => eprintln!("compare: counters identical for {n} scenario(s) in {path}"),
+            Err(reasons) => {
+                for m in &reasons {
+                    eprintln!("compare: FAILED {m}");
+                }
+                ok = false;
+            }
+        }
+    }
+    if let Some(path) = out {
+        match std::fs::write(&path, run.encode()) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => {
+                eprintln!("error: could not write {path}: {e}");
+                ok = false;
+            }
+        }
+    }
+    ok
+}
+
+/// Default scenario set for `verify`: the headline coop
 /// scenario plus one per figure-regeneration scheduler (so the gate
 /// covers every system kind the optimizations touch) plus the medium
 /// fault regimes (so it also covers the loss and outage physics, the
@@ -1038,38 +741,29 @@ fn main() -> std::process::ExitCode {
 const STATS_SCENARIOS: &str = "medium,ideal_medium,cgm1_medium,cgm2_medium,\
      lossy_medium,outage_medium,lossy_aware_medium,competitive_lossy";
 
-/// Default stats baseline path, repo-root-relative (like BENCH_*.json).
+/// Default stats baseline path, repo-root-relative (like BENCH_baseline.txt).
 const STATS_BASELINE: &str = "STATS_baseline.txt";
 
-/// The `verify` subcommand: both acceptance tiers behind one flag
-/// surface (`--accept bits|stats`).
+/// The `verify` subcommand: the statistical acceptance gate.
 fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
     let fail = |msg: &str| {
         eprintln!("{msg}\n{VERIFY_HELP}");
         std::process::ExitCode::FAILURE
     };
-    let mut accept = "stats".to_string();
-    let mut baselines: Vec<String> = Vec::new();
+    let mut baseline: Option<std::path::PathBuf> = None;
     let mut scenarios = STATS_SCENARIOS.to_string();
     let mut seeds: u32 = 32;
     let mut tier = Tier::Standard;
     let mut record = false;
     let mut quick = false;
-    let mut tolerance = 0.25;
-    let mut repeats: usize = 1;
     let mut shards = Shards::InProcess;
     let mut spec_deadline = SweepOptions::default().spec_deadline;
     let mut args = argv.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--accept" => match args.next().as_deref() {
-                Some("bits") => accept = "bits".into(),
-                Some("stats") => accept = "stats".into(),
-                _ => return fail("--accept needs `bits` or `stats`"),
-            },
             "--baseline" => match args.next() {
-                Some(p) => baselines.push(p),
-                None => return fail("--baseline needs a path"),
+                Some(p) if baseline.is_none() => baseline = Some(p.into()),
+                _ => return fail("--baseline needs one path"),
             },
             "--scenarios" => match args.next() {
                 Some(list) => scenarios = list,
@@ -1085,14 +779,6 @@ fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
             },
             "--record" => record = true,
             "--quick" => quick = true,
-            "--tolerance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => tolerance = t,
-                _ => return fail("--tolerance needs a fraction in [0, 1)"),
-            },
-            "--repeat" => match args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                Some(n) => repeats = n,
-                None => return fail("--repeat needs a positive integer"),
-            },
             "--shards" => match args.next().and_then(|v| Shards::parse(&v)) {
                 Some(s) => shards = s,
                 None => return fail("--shards needs a worker count (0 = in-process)"),
@@ -1118,85 +804,24 @@ fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
         spec_deadline,
         ..SweepOptions::default()
     };
-    match accept.as_str() {
-        "bits" => verify_bits(&baselines, quick, tolerance, repeats),
-        _ => verify_stats(&scenarios, seeds, quick, tier, record, &baselines, &opts),
-    }
+    let baseline = baseline.unwrap_or_else(|| STATS_BASELINE.into());
+    verify_stats(&scenarios, seeds, quick, tier, record, &baseline, &opts)
 }
 
-/// Tier 1: counter identity against bench-JSON baselines — the same
-/// gate `--compare` applies inline, behind the unified verify UX.
-fn verify_bits(
-    baselines: &[String],
-    quick: bool,
-    tolerance: f64,
-    repeats: usize,
-) -> std::process::ExitCode {
-    if baselines.is_empty() {
-        eprintln!("verify --accept bits needs at least one --baseline BENCH_*.json");
-        return std::process::ExitCode::FAILURE;
-    }
-    let selected: Vec<ScenarioSpec> = suite()
-        .into_iter()
-        .map(|s| if quick { s.quick() } else { s })
-        .collect();
-    let mut results = run_table(&selected, repeats);
-    let calibration = Some(calibration_seconds());
-    let mut failed = false;
-    for path in baselines {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                if let Err(mismatches) = compare_against_baseline(
-                    &mut results,
-                    &text,
-                    path,
-                    quick,
-                    tolerance,
-                    calibration,
-                ) {
-                    for m in &mismatches {
-                        eprintln!("verify[bits]: DETERMINISM MISMATCH {m}");
-                    }
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: could not read baseline {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        eprintln!("verify[bits]: FAILED");
-        std::process::ExitCode::FAILURE
-    } else {
-        eprintln!(
-            "verify[bits]: ok — counters identical across {} baseline(s)",
-            baselines.len()
-        );
-        std::process::ExitCode::SUCCESS
-    }
-}
-
-/// Tier 2: statistical acceptance — metric moments across derived seeds
-/// against the stored stats baseline.
+/// Statistical acceptance: metric moments across derived seeds against
+/// the stored stats baseline at `path`.
 fn verify_stats(
     scenarios: &str,
     seeds: u32,
     quick: bool,
     tier: Tier,
     record: bool,
-    baselines: &[String],
+    path: &std::path::Path,
     opts: &SweepOptions,
 ) -> std::process::ExitCode {
-    if baselines.len() > 1 {
-        eprintln!("verify --accept stats takes at most one --baseline");
-        return std::process::ExitCode::FAILURE;
-    }
-    let path = std::path::PathBuf::from(baselines.first().map_or(STATS_BASELINE, String::as_str));
     let names: Vec<&str> = scenarios.split(',').filter(|s| !s.is_empty()).collect();
     if names.is_empty() {
-        eprintln!("verify --accept stats: no scenarios selected");
+        eprintln!("verify: no scenarios selected");
         return std::process::ExitCode::FAILURE;
     }
     let mut collected: Vec<ScenarioStats> = Vec::new();
@@ -1231,7 +856,7 @@ fn verify_stats(
     }
     if record {
         let mut baseline = if path.exists() {
-            match StatBaseline::load(&path) {
+            match StatBaseline::load(path) {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("verify[stats]: {e}");
@@ -1244,7 +869,7 @@ fn verify_stats(
         for stats in collected {
             baseline.upsert(stats);
         }
-        if let Err(e) = baseline.save(&path) {
+        if let Err(e) = baseline.save(path) {
             eprintln!("verify[stats]: {e}");
             return std::process::ExitCode::FAILURE;
         }
@@ -1255,7 +880,7 @@ fn verify_stats(
         );
         return std::process::ExitCode::SUCCESS;
     }
-    let baseline = match StatBaseline::load(&path) {
+    let baseline = match StatBaseline::load(path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("verify[stats]: {e} (record one with --record)");

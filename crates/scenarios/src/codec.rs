@@ -1,19 +1,35 @@
-//! Plain-text scenario serialization.
+//! The repo's one text format, and the scenario and run-report codecs
+//! built on it.
 //!
-//! A [`ScenarioSpec`] is the unit a future process-sharded sweep runner
-//! will ship to workers, so it must survive a trip through a pipe with
-//! no external dependencies (the workspace vendors no serde). The format
-//! is one `key value` pair per line, values running to end-of-line;
-//! floats are printed with Rust's shortest round-trip formatting, so
-//! decoding reproduces *bit-identical* parameters — and therefore, by
-//! the determinism the whole repo is built on, bit-identical
-//! trajectories on the far side of the pipe.
+//! Every text artifact that must survive a round trip is written by
+//! [`Writer`] and read by [`read_lines`]: a [`ScenarioSpec`] or
+//! [`RunReport`] crossing a sweep worker's pipe, the statistical
+//! baseline `STATS_baseline.txt` and the bench counter baseline
+//! `BENCH_baseline.txt`. The workspace vendors no serde, so the format
+//! is plain lines:
+//!
+//! - a header line naming the format and its version;
+//! - one `key value` line per field, the value running to the end of the
+//!   line; blank lines are skipped;
+//! - every `f64` spelled by [`fmt_f64`] and read by [`parse_f64`], so a
+//!   decoded value is bit-identical to the encoded one — and therefore,
+//!   by the determinism the whole repo is built on, a decoded spec
+//!   replays the same trajectory on the far side of a pipe.
+//!
+//! A flat [`Record`] holds each key at most once, and its decoder must
+//! consume every key, so a misspelled or repeated key is an error that
+//! names it, never a silently defaulted field. Files of many records
+//! group them in `opener name` … `end` [`blocks`]. Errors carry the
+//! 1-based line number.
 //!
 //! Limitations, by design: [`Metric::Deviation`] carries a function
 //! pointer and encodes as `deviation`, which decodes to the standard
 //! absolute-difference deviation — the only deviation function any
 //! registered scenario uses. Encoding a scenario with a custom deviation
 //! function is an error.
+
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 use besync::cache::partition::SharePolicy;
 use besync::fault::{FaultProfile, FaultSummary, RecoveryPolicy};
@@ -32,6 +48,220 @@ const HEADER: &str = "besync-scenario v1";
 
 /// Format tag, first line of every encoded run report.
 const REPORT_HEADER: &str = "besync-report v1";
+
+/// One `key value` line of the text format.
+#[derive(Debug, Clone, Copy)]
+pub struct Line<'a> {
+    /// 1-based line number in the input.
+    pub no: usize,
+    /// The line's first whitespace-delimited token.
+    pub key: &'a str,
+    /// The rest of the line, trimmed; empty if there is none.
+    pub value: &'a str,
+}
+
+impl<'a> Line<'a> {
+    /// Prefixes `msg` with this line's number.
+    pub fn error(&self, msg: impl fmt::Display) -> String {
+        format!("line {}: {msg}", self.no)
+    }
+
+    fn bad(&self, what: &str) -> String {
+        self.error(format_args!(
+            "bad {what} `{}` in `{}`",
+            self.value, self.key
+        ))
+    }
+
+    /// The error for a value outside the key's set of names.
+    pub fn unknown(&self) -> String {
+        self.error(format_args!("unknown {} `{}`", self.key, self.value))
+    }
+
+    /// The value mapped through a name table; `None` is [`Line::unknown`].
+    pub fn parse<T>(&self, names: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+        names(self.value).ok_or_else(|| self.unknown())
+    }
+
+    /// The value as an integer; out-of-range values are errors.
+    pub fn int<T: FromStr>(&self) -> Result<T, String> {
+        self.value.parse().map_err(|_| self.bad("integer"))
+    }
+
+    /// The value as an `f64` in its one [`fmt_f64`] spelling.
+    pub fn f64(&self) -> Result<f64, String> {
+        parse_f64(self.value).ok_or_else(|| self.bad("number"))
+    }
+
+    /// The value as `true` or `false`.
+    pub fn bool(&self) -> Result<bool, String> {
+        match self.value {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            _ => Err(self.bad("boolean")),
+        }
+    }
+}
+
+/// Reads a text form: checks its header line, skips blank lines and
+/// splits every other line at its first whitespace into a [`Line`].
+pub fn read_lines<'a>(text: &'a str, header: &str) -> Result<Vec<Line<'a>>, String> {
+    let mut lines = text.lines();
+    if lines.next().map(str::trim) != Some(header) {
+        return Err(format!("missing `{header}` header"));
+    }
+    Ok(lines
+        .enumerate()
+        .map(|(i, line)| (i + 2, line.trim()))
+        .filter(|(_, line)| !line.is_empty())
+        .map(|(no, line)| {
+            let (key, value) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+            Line {
+                no,
+                key,
+                value: value.trim(),
+            }
+        })
+        .collect())
+}
+
+/// A block of a multi-record text form: its opening line and its body.
+pub type Block<'a> = (Line<'a>, Vec<Line<'a>>);
+
+/// Splits `lines` into the top-level lines and the `opener name` … `end`
+/// blocks, in input order. A block opened inside another, an `end`
+/// outside a block or with a value, and an unclosed block are errors.
+pub fn blocks<'a>(
+    lines: Vec<Line<'a>>,
+    opener: &str,
+) -> Result<(Vec<Line<'a>>, Vec<Block<'a>>), String> {
+    let mut top = Vec::new();
+    let mut done = Vec::new();
+    let mut open: Option<Block<'a>> = None;
+    for line in lines {
+        if line.key == opener {
+            if open.is_some() {
+                return Err(line.error(format_args!("`{opener}` before the previous `end`")));
+            }
+            open = Some((line, Vec::new()));
+        } else if line.key == "end" {
+            if !line.value.is_empty() {
+                return Err(line.error("text after `end`"));
+            }
+            done.push(
+                open.take()
+                    .ok_or_else(|| line.error("`end` outside a block"))?,
+            );
+        } else {
+            match &mut open {
+                Some((_, body)) => body.push(line),
+                None => top.push(line),
+            }
+        }
+    }
+    match open {
+        Some((line, _)) => Err(line.error(format_args!("`{opener}` block has no `end`"))),
+        None => Ok((top, done)),
+    }
+}
+
+/// A flat record: lines with each key at most once. A decoder takes
+/// every field through an accessor and then calls [`Record::finish`],
+/// which rejects any key no field took.
+pub struct Record<'a> {
+    lines: Vec<Line<'a>>,
+    taken: Vec<bool>,
+}
+
+impl<'a> Record<'a> {
+    /// Collects `lines` into a record; a repeated key is an error.
+    pub fn new(lines: Vec<Line<'a>>) -> Result<Self, String> {
+        for (i, line) in lines.iter().enumerate() {
+            if lines[..i].iter().any(|l| l.key == line.key) {
+                return Err(line.error(format_args!("duplicate key `{}`", line.key)));
+            }
+        }
+        Ok(Record {
+            taken: vec![false; lines.len()],
+            lines,
+        })
+    }
+
+    /// Takes `key`'s line, if there is one.
+    pub fn opt(&mut self, key: &str) -> Option<Line<'a>> {
+        let i = self.lines.iter().position(|l| l.key == key)?;
+        self.taken[i] = true;
+        Some(self.lines[i])
+    }
+
+    /// Takes `key`'s line; a missing key is an error.
+    pub fn line(&mut self, key: &str) -> Result<Line<'a>, String> {
+        self.opt(key)
+            .ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    /// Takes `key`'s value as an integer ([`Line::int`]).
+    pub fn int<T: FromStr>(&mut self, key: &str) -> Result<T, String> {
+        self.line(key)?.int()
+    }
+
+    /// Takes `key`'s value as an `f64` ([`Line::f64`]).
+    pub fn f64(&mut self, key: &str) -> Result<f64, String> {
+        self.line(key)?.f64()
+    }
+
+    /// Takes `key`'s value as a boolean ([`Line::bool`]).
+    pub fn bool(&mut self, key: &str) -> Result<bool, String> {
+        self.line(key)?.bool()
+    }
+
+    /// Ends decoding; an error names the first key no accessor took.
+    pub fn finish(self) -> Result<(), String> {
+        match self
+            .lines
+            .iter()
+            .zip(&self.taken)
+            .find(|(_, &taken)| !taken)
+        {
+            Some((line, _)) => Err(line.error(format_args!("unexpected key `{}`", line.key))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Writes the text form: the header line, then one `key value` line
+/// per field.
+pub struct Writer(String);
+
+impl Writer {
+    /// Starts a text form with its header line.
+    pub fn new(header: &str) -> Writer {
+        let mut out = String::with_capacity(512);
+        out.push_str(header);
+        out.push('\n');
+        Writer(out)
+    }
+
+    /// Writes `key value`. An `f64` goes through [`Writer::f64`] instead.
+    pub fn kv(&mut self, key: &str, value: impl fmt::Display) {
+        writeln!(self.0, "{key} {value}").expect("formatting into a String cannot fail");
+    }
+
+    /// Writes `key` with `x` in its [`fmt_f64`] spelling.
+    pub fn f64(&mut self, key: &str, x: f64) {
+        self.kv(key, fmt_f64(x));
+    }
+
+    /// Closes a block.
+    pub fn end(&mut self) {
+        self.0.push_str("end\n");
+    }
+
+    /// The finished text.
+    pub fn finish(self) -> String {
+        self.0
+    }
+}
 
 fn policy_name(p: PolicyKind) -> &'static str {
     match p {
@@ -116,27 +346,21 @@ pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
         }
     }
     for (field, value) in [("name", &spec.name), ("description", &spec.description)] {
-        if value.contains('\n') || value.contains('\r') {
+        // The reader trims every value, so edge whitespace would not
+        // survive the trip either.
+        if value.contains(['\n', '\r']) || value.trim() != value {
             return Err(format!(
-                "scenario {field} contains a line break, which the line-based format \
-                 cannot carry faithfully"
+                "scenario {field} contains a line break or edge whitespace, which the \
+                 line-based format cannot carry faithfully"
             ));
         }
     }
-    let mut out = String::with_capacity(512);
-    out.push_str(HEADER);
-    out.push('\n');
-    let mut kv = |k: &str, v: &str| {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(v);
-        out.push('\n');
-    };
-    kv("name", &spec.name);
-    kv("description", &spec.description);
-    kv("seed", &spec.seed.to_string());
-    kv("sim_seed", &spec.sim_seed.to_string());
-    kv("system", spec.system.name());
+    let mut w = Writer::new(HEADER);
+    w.kv("name", &spec.name);
+    w.kv("description", &spec.description);
+    w.kv("seed", spec.seed);
+    w.kv("sim_seed", spec.sim_seed);
+    w.kv("system", spec.system.name());
     match spec.workload {
         WorkloadKind::Poisson {
             sources,
@@ -145,177 +369,119 @@ pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
             weight_range,
             fluctuating_weights,
         } => {
-            kv("workload", "poisson");
-            kv("sources", &sources.to_string());
-            kv("objects_per_source", &objects_per_source.to_string());
-            kv("rate_lo", &rate_range.0.to_string());
-            kv("rate_hi", &rate_range.1.to_string());
-            kv("weight_lo", &weight_range.0.to_string());
-            kv("weight_hi", &weight_range.1.to_string());
-            kv("fluctuating_weights", &fluctuating_weights.to_string());
+            w.kv("workload", "poisson");
+            w.kv("sources", sources);
+            w.kv("objects_per_source", objects_per_source);
+            w.f64("rate_lo", rate_range.0);
+            w.f64("rate_hi", rate_range.1);
+            w.f64("weight_lo", weight_range.0);
+            w.f64("weight_hi", weight_range.1);
+            w.kv("fluctuating_weights", fluctuating_weights);
         }
         WorkloadKind::Buoy { config } => {
-            kv("workload", "buoy");
-            kv("buoys", &config.buoys.to_string());
-            kv("components", &config.components.to_string());
-            kv("sample_interval", &config.sample_interval.to_string());
-            kv("duration", &config.duration.to_string());
-            kv("reversion", &config.reversion.to_string());
-            kv("noise", &config.noise.to_string());
+            w.kv("workload", "buoy");
+            w.kv("buoys", config.buoys);
+            w.kv("components", config.components);
+            w.f64("sample_interval", config.sample_interval);
+            w.f64("duration", config.duration);
+            w.f64("reversion", config.reversion);
+            w.f64("noise", config.noise);
         }
     }
-    kv("policy", policy_name(spec.policy));
-    kv("estimator", estimator_name(spec.estimator));
-    kv("metric", spec.metric.name());
-    kv(
-        "cache_bandwidth_mean",
-        &spec.cache_bandwidth_mean.to_string(),
-    );
-    kv(
-        "source_bandwidth_mean",
-        &spec.source_bandwidth_mean.to_string(),
-    );
-    kv(
-        "bandwidth_change_rate",
-        &spec.bandwidth_change_rate.to_string(),
-    );
-    kv("alpha", &spec.alpha.to_string());
-    kv("omega", &spec.omega.to_string());
-    kv("warmup", &spec.warmup.to_string());
-    kv("measure", &spec.measure.to_string());
+    w.kv("policy", policy_name(spec.policy));
+    w.kv("estimator", estimator_name(spec.estimator));
+    w.kv("metric", spec.metric.name());
+    w.f64("cache_bandwidth_mean", spec.cache_bandwidth_mean);
+    w.f64("source_bandwidth_mean", spec.source_bandwidth_mean);
+    w.f64("bandwidth_change_rate", spec.bandwidth_change_rate);
+    w.f64("alpha", spec.alpha);
+    w.f64("omega", spec.omega);
+    w.f64("warmup", spec.warmup);
+    w.f64("measure", spec.measure);
     if let Some(f) = spec.fault {
         // The fault block is emitted only when a profile is set, so
         // fault-free scenarios keep their exact pre-fault text (and old
         // text decodes to `fault: None`).
-        kv("fault", f.recovery.kind_name());
+        w.kv("fault", f.recovery.kind_name());
         if let RecoveryPolicy::Retransmit { deadline } = f.recovery {
-            kv("fault_retransmit_deadline", &deadline.to_string());
+            w.f64("fault_retransmit_deadline", deadline);
         }
-        kv("fault_loss_prob", &f.loss_prob.to_string());
-        kv("fault_outage_rate", &f.outage_rate.to_string());
-        kv("fault_outage_duration", &f.outage_duration.to_string());
-        kv(
-            "fault_outage_drops_queue",
-            &f.outage_drops_queue.to_string(),
-        );
-        kv("fault_crash_rate", &f.crash_rate.to_string());
-        kv("fault_crash_downtime", &f.crash_downtime.to_string());
+        w.f64("fault_loss_prob", f.loss_prob);
+        w.f64("fault_outage_rate", f.outage_rate);
+        w.f64("fault_outage_duration", f.outage_duration);
+        w.kv("fault_outage_drops_queue", f.outage_drops_queue);
+        w.f64("fault_crash_rate", f.crash_rate);
+        w.f64("fault_crash_downtime", f.crash_downtime);
         if f.aware {
             // Emitted only when set, so pre-fault-aware scenario text
             // stays byte-identical (and old text decodes to `false`).
-            kv("fault_aware", "true");
+            w.kv("fault_aware", true);
         }
     }
     if matches!(spec.system, SystemKind::Competitive) {
         // The Ψ partition only exists for §7 scenarios; emitting it
         // conditionally keeps every other scenario's text byte-identical
         // to its pre-competitive form.
-        kv("psi", &spec.psi.to_string());
-        kv("share_policy", share_name(spec.share));
+        w.f64("psi", spec.psi);
+        w.kv("share_policy", share_name(spec.share));
     }
-    Ok(out)
+    Ok(w.finish())
 }
 
 /// Decodes the line-based text form back into a scenario.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed or missing field.
+/// Returns a message naming the first malformed, missing, repeated or
+/// unexpected field.
 pub fn decode(text: &str) -> Result<ScenarioSpec, String> {
-    let mut lines = text.lines();
-    if lines.next().map(str::trim) != Some(HEADER) {
-        return Err(format!("missing `{HEADER}` header"));
-    }
-    let mut pairs = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (key, value) = line.split_once(' ').unwrap_or((line, ""));
-        pairs.push((key.trim().to_string(), value.trim().to_string()));
-    }
-    let get = |key: &str| -> Result<&str, String> {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("missing field `{key}`"))
-    };
-    let num = |key: &str| -> Result<f64, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("bad number in `{key}`"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("bad integer in `{key}`"))
-    };
-
-    let workload = match get("workload")? {
+    let mut r = Record::new(read_lines(text, HEADER)?)?;
+    let kind = r.line("workload")?;
+    let workload = match kind.value {
         "poisson" => WorkloadKind::Poisson {
-            sources: int("sources")? as u32,
-            objects_per_source: int("objects_per_source")? as u32,
-            rate_range: (num("rate_lo")?, num("rate_hi")?),
-            weight_range: (num("weight_lo")?, num("weight_hi")?),
-            fluctuating_weights: match get("fluctuating_weights")? {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("bad boolean `{other}` in `fluctuating_weights`")),
-            },
+            sources: r.int("sources")?,
+            objects_per_source: r.int("objects_per_source")?,
+            rate_range: (r.f64("rate_lo")?, r.f64("rate_hi")?),
+            weight_range: (r.f64("weight_lo")?, r.f64("weight_hi")?),
+            fluctuating_weights: r.bool("fluctuating_weights")?,
         },
         "buoy" => WorkloadKind::Buoy {
             config: BuoyConfig {
-                buoys: int("buoys")? as u32,
-                components: int("components")? as u32,
-                sample_interval: num("sample_interval")?,
-                duration: num("duration")?,
-                reversion: num("reversion")?,
-                noise: num("noise")?,
+                buoys: r.int("buoys")?,
+                components: r.int("components")?,
+                sample_interval: r.f64("sample_interval")?,
+                duration: r.f64("duration")?,
+                reversion: r.f64("reversion")?,
+                noise: r.f64("noise")?,
             },
         },
-        other => return Err(format!("unknown workload kind `{other}`")),
+        _ => return Err(kind.unknown()),
     };
 
     // `fault` is optional — its absence means the fault-free path — but
     // once present, every sub-field is mandatory and the recovery kind
     // must be known: silently decoding an unknown fault regime to
     // something else would change what the far side simulates.
-    let fault = match pairs.iter().find(|(k, _)| k == "fault") {
+    let fault = match r.opt("fault") {
         None => None,
-        Some((_, kind)) => {
-            let recovery = match kind.as_str() {
+        Some(kind) => {
+            let recovery = match kind.value {
                 "degrade-stale" => RecoveryPolicy::DegradeStale,
                 "resync" => RecoveryPolicy::Resync,
                 "retransmit" => RecoveryPolicy::Retransmit {
-                    deadline: num("fault_retransmit_deadline")?,
+                    deadline: r.f64("fault_retransmit_deadline")?,
                 },
-                other => return Err(format!("unknown fault recovery kind `{other}`")),
+                _ => return Err(kind.unknown()),
             };
             let profile = FaultProfile {
-                loss_prob: num("fault_loss_prob")?,
-                outage_rate: num("fault_outage_rate")?,
-                outage_duration: num("fault_outage_duration")?,
-                outage_drops_queue: match get("fault_outage_drops_queue")? {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(format!(
-                            "bad boolean `{other}` in `fault_outage_drops_queue`"
-                        ))
-                    }
-                },
-                crash_rate: num("fault_crash_rate")?,
-                crash_downtime: num("fault_crash_downtime")?,
+                loss_prob: r.f64("fault_loss_prob")?,
+                outage_rate: r.f64("fault_outage_rate")?,
+                outage_duration: r.f64("fault_outage_duration")?,
+                outage_drops_queue: r.bool("fault_outage_drops_queue")?,
+                crash_rate: r.f64("fault_crash_rate")?,
+                crash_downtime: r.f64("fault_crash_downtime")?,
                 recovery,
-                aware: match pairs.iter().find(|(k, _)| k == "fault_aware") {
-                    None => false,
-                    Some((_, v)) => match v.as_str() {
-                        "true" => true,
-                        "false" => false,
-                        other => return Err(format!("bad boolean `{other}` in `fault_aware`")),
-                    },
-                },
+                aware: r.opt("fault_aware").map_or(Ok(false), |l| l.bool())?,
             };
             profile
                 .validate()
@@ -324,60 +490,51 @@ pub fn decode(text: &str) -> Result<ScenarioSpec, String> {
         }
     };
 
-    let system_name = get("system")?;
-    let system =
-        SystemKind::parse(system_name).ok_or_else(|| format!("unknown system `{system_name}`"))?;
+    let system = r.line("system")?.parse(SystemKind::parse)?;
     // Like the fault block: the Ψ partition is absent from every
     // non-competitive scenario's text, but once the system is §7 both
     // fields are mandatory — defaults here would silently change what
     // the far side simulates.
     let (psi, share) = if matches!(system, SystemKind::Competitive) {
-        let share_str = get("share_policy")?;
-        (
-            num("psi")?,
-            parse_share(share_str).ok_or_else(|| format!("unknown share policy `{share_str}`"))?,
-        )
+        (r.f64("psi")?, r.line("share_policy")?.parse(parse_share)?)
     } else {
         (0.0, SharePolicy::ProportionalToValue)
     };
-    let policy_str = get("policy")?;
-    let estimator_str = get("estimator")?;
-    let metric_str = get("metric")?;
-    Ok(ScenarioSpec {
-        name: get("name")?.to_string(),
-        description: get("description")?.to_string(),
-        seed: int("seed")?,
-        sim_seed: int("sim_seed")?,
+    let spec = ScenarioSpec {
+        name: r.line("name")?.value.to_string(),
+        description: r.line("description")?.value.to_string(),
+        seed: r.int("seed")?,
+        sim_seed: r.int("sim_seed")?,
         system,
         workload,
-        policy: parse_policy(policy_str).ok_or_else(|| format!("unknown policy `{policy_str}`"))?,
-        estimator: parse_estimator(estimator_str)
-            .ok_or_else(|| format!("unknown estimator `{estimator_str}`"))?,
-        metric: parse_metric(metric_str).ok_or_else(|| format!("unknown metric `{metric_str}`"))?,
-        cache_bandwidth_mean: num("cache_bandwidth_mean")?,
-        source_bandwidth_mean: num("source_bandwidth_mean")?,
-        bandwidth_change_rate: num("bandwidth_change_rate")?,
-        alpha: num("alpha")?,
-        omega: num("omega")?,
-        warmup: num("warmup")?,
-        measure: num("measure")?,
+        policy: r.line("policy")?.parse(parse_policy)?,
+        estimator: r.line("estimator")?.parse(parse_estimator)?,
+        metric: r.line("metric")?.parse(parse_metric)?,
+        cache_bandwidth_mean: r.f64("cache_bandwidth_mean")?,
+        source_bandwidth_mean: r.f64("source_bandwidth_mean")?,
+        bandwidth_change_rate: r.f64("bandwidth_change_rate")?,
+        alpha: r.f64("alpha")?,
+        omega: r.f64("omega")?,
+        warmup: r.f64("warmup")?,
+        measure: r.f64("measure")?,
         fault,
         psi,
         share,
-    })
+    };
+    r.finish()?;
+    Ok(spec)
 }
 
 /// Formats an `f64` so decoding reproduces it bit for bit.
 ///
-/// Finite values use Rust's shortest round-trip decimal formatting (the
-/// same guarantee the scenario codec leans on). Non-finite values — an
-/// empty `RunningStats` legitimately carries `±∞`, and a degenerate run
-/// can produce `NaN` means — are written as an explicit `!x` bit pattern
-/// so even NaN payloads survive.
+/// Finite values use Rust's shortest round-trip decimal formatting.
+/// Non-finite values — an empty `RunningStats` legitimately carries
+/// `±∞`, and a degenerate run can produce `NaN` means — are written as
+/// an explicit `!x` bit pattern so even NaN payloads survive.
 ///
 /// Public because every text artifact in the repo that must survive a
-/// round trip (worker protocol frames, the statistical-acceptance
-/// baseline) shares this one canonical spelling.
+/// round trip (worker protocol frames, both checked-in baselines)
+/// shares this one canonical spelling.
 pub fn fmt_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
@@ -410,129 +567,95 @@ pub fn parse_f64(s: &str) -> Option<f64> {
 /// trip bit for bit, so a report collected from a worker process is
 /// indistinguishable from one produced in-process.
 pub fn encode_report(report: &RunReport) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str(REPORT_HEADER);
-    out.push('\n');
-    let mut kv = |k: &str, v: String| {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(&v);
-        out.push('\n');
-    };
+    let mut w = Writer::new(REPORT_HEADER);
     let d = &report.divergence;
-    kv("objects", d.objects.to_string());
-    kv("total_unweighted", fmt_f64(d.total_unweighted));
-    kv("total_weighted", fmt_f64(d.total_weighted));
-    kv("mean_unweighted", fmt_f64(d.mean_unweighted));
-    kv("mean_weighted", fmt_f64(d.mean_weighted));
-    kv("max_unweighted", fmt_f64(d.max_unweighted));
-    kv("refreshes_applied", d.refreshes_applied.to_string());
-    kv("refreshes_sent", report.refreshes_sent.to_string());
-    kv(
-        "refreshes_delivered",
-        report.refreshes_delivered.to_string(),
-    );
-    kv("feedback_messages", report.feedback_messages.to_string());
-    kv("polls_sent", report.polls_sent.to_string());
-    kv("max_cache_queue", report.max_cache_queue.to_string());
-    kv("mean_queue_wait", fmt_f64(report.mean_queue_wait));
+    w.kv("objects", d.objects);
+    w.f64("total_unweighted", d.total_unweighted);
+    w.f64("total_weighted", d.total_weighted);
+    w.f64("mean_unweighted", d.mean_unweighted);
+    w.f64("mean_weighted", d.mean_weighted);
+    w.f64("max_unweighted", d.max_unweighted);
+    w.kv("refreshes_applied", d.refreshes_applied);
+    w.kv("refreshes_sent", report.refreshes_sent);
+    w.kv("refreshes_delivered", report.refreshes_delivered);
+    w.kv("feedback_messages", report.feedback_messages);
+    w.kv("polls_sent", report.polls_sent);
+    w.kv("max_cache_queue", report.max_cache_queue);
+    w.f64("mean_queue_wait", report.mean_queue_wait);
     let t = report.threshold_stats.to_raw();
-    kv("threshold_count", t.count.to_string());
-    kv("threshold_mean", fmt_f64(t.mean));
-    kv("threshold_m2", fmt_f64(t.m2));
-    kv("threshold_min", fmt_f64(t.min));
-    kv("threshold_max", fmt_f64(t.max));
-    kv("updates_processed", report.updates_processed.to_string());
+    w.kv("threshold_count", t.count);
+    w.f64("threshold_mean", t.mean);
+    w.f64("threshold_m2", t.m2);
+    w.f64("threshold_min", t.min);
+    w.f64("threshold_max", t.max);
+    w.kv("updates_processed", report.updates_processed);
     let f = &report.faults;
-    kv("fault_lost_refreshes", f.lost_refreshes.to_string());
-    kv("fault_retransmits", f.retransmits.to_string());
-    kv("fault_outages", f.outages.to_string());
-    kv("fault_outage_seconds", fmt_f64(f.outage_seconds));
-    kv("fault_dropped_in_outage", f.dropped_in_outage.to_string());
-    kv("fault_crashes", f.crashes.to_string());
-    kv("fault_down_seconds", fmt_f64(f.down_seconds));
-    kv("fault_missed_updates", f.missed_updates.to_string());
-    kv("fault_resync_quotes", f.resync_quotes.to_string());
-    kv("fault_epoch_divergence", fmt_f64(f.epoch_divergence));
-    kv("fault_stale_drops", f.stale_drops.to_string());
-    kv("fault_superseded_retries", f.superseded_retries.to_string());
-    out
+    w.kv("fault_lost_refreshes", f.lost_refreshes);
+    w.kv("fault_retransmits", f.retransmits);
+    w.kv("fault_outages", f.outages);
+    w.f64("fault_outage_seconds", f.outage_seconds);
+    w.kv("fault_dropped_in_outage", f.dropped_in_outage);
+    w.kv("fault_crashes", f.crashes);
+    w.f64("fault_down_seconds", f.down_seconds);
+    w.kv("fault_missed_updates", f.missed_updates);
+    w.kv("fault_resync_quotes", f.resync_quotes);
+    w.f64("fault_epoch_divergence", f.epoch_divergence);
+    w.kv("fault_stale_drops", f.stale_drops);
+    w.kv("fault_superseded_retries", f.superseded_retries);
+    w.finish()
 }
 
 /// Decodes the line-based text form back into a [`RunReport`].
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed or missing field. Never
-/// panics: a hostile or truncated worker reply must surface as a
-/// structured error the sweep supervisor can act on, not take it down.
+/// Returns a message naming the first malformed, missing, repeated or
+/// unexpected field. Never panics: a hostile or truncated worker reply
+/// must surface as a structured error the sweep supervisor can act on,
+/// not take it down.
 pub fn decode_report(text: &str) -> Result<RunReport, String> {
-    let mut lines = text.lines();
-    if lines.next().map(str::trim) != Some(REPORT_HEADER) {
-        return Err(format!("missing `{REPORT_HEADER}` header"));
-    }
-    let mut pairs = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (key, value) = line.split_once(' ').unwrap_or((line, ""));
-        pairs.push((key.trim(), value.trim()));
-    }
-    let get = |key: &str| -> Result<&str, String> {
-        pairs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("missing field `{key}`"))
-    };
-    let num = |key: &str| -> Result<f64, String> {
-        parse_f64(get(key)?).ok_or_else(|| format!("bad number in `{key}`"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("bad integer in `{key}`"))
-    };
-    Ok(RunReport {
+    let mut r = Record::new(read_lines(text, REPORT_HEADER)?)?;
+    let report = RunReport {
         divergence: DivergenceReport {
-            objects: int("objects")? as usize,
-            total_unweighted: num("total_unweighted")?,
-            total_weighted: num("total_weighted")?,
-            mean_unweighted: num("mean_unweighted")?,
-            mean_weighted: num("mean_weighted")?,
-            max_unweighted: num("max_unweighted")?,
-            refreshes_applied: int("refreshes_applied")?,
+            objects: r.int("objects")?,
+            total_unweighted: r.f64("total_unweighted")?,
+            total_weighted: r.f64("total_weighted")?,
+            mean_unweighted: r.f64("mean_unweighted")?,
+            mean_weighted: r.f64("mean_weighted")?,
+            max_unweighted: r.f64("max_unweighted")?,
+            refreshes_applied: r.int("refreshes_applied")?,
         },
-        refreshes_sent: int("refreshes_sent")?,
-        refreshes_delivered: int("refreshes_delivered")?,
-        feedback_messages: int("feedback_messages")?,
-        polls_sent: int("polls_sent")?,
-        max_cache_queue: int("max_cache_queue")? as usize,
-        mean_queue_wait: num("mean_queue_wait")?,
+        refreshes_sent: r.int("refreshes_sent")?,
+        refreshes_delivered: r.int("refreshes_delivered")?,
+        feedback_messages: r.int("feedback_messages")?,
+        polls_sent: r.int("polls_sent")?,
+        max_cache_queue: r.int("max_cache_queue")?,
+        mean_queue_wait: r.f64("mean_queue_wait")?,
         threshold_stats: RunningStats::from_raw(RawRunningStats {
-            count: int("threshold_count")?,
-            mean: num("threshold_mean")?,
-            m2: num("threshold_m2")?,
-            min: num("threshold_min")?,
-            max: num("threshold_max")?,
+            count: r.int("threshold_count")?,
+            mean: r.f64("threshold_mean")?,
+            m2: r.f64("threshold_m2")?,
+            min: r.f64("threshold_min")?,
+            max: r.f64("threshold_max")?,
         }),
-        updates_processed: int("updates_processed")?,
+        updates_processed: r.int("updates_processed")?,
         faults: FaultSummary {
-            lost_refreshes: int("fault_lost_refreshes")?,
-            retransmits: int("fault_retransmits")?,
-            outages: int("fault_outages")?,
-            outage_seconds: num("fault_outage_seconds")?,
-            dropped_in_outage: int("fault_dropped_in_outage")?,
-            crashes: int("fault_crashes")?,
-            down_seconds: num("fault_down_seconds")?,
-            missed_updates: int("fault_missed_updates")?,
-            resync_quotes: int("fault_resync_quotes")?,
-            epoch_divergence: num("fault_epoch_divergence")?,
-            stale_drops: int("fault_stale_drops")?,
-            superseded_retries: int("fault_superseded_retries")?,
+            lost_refreshes: r.int("fault_lost_refreshes")?,
+            retransmits: r.int("fault_retransmits")?,
+            outages: r.int("fault_outages")?,
+            outage_seconds: r.f64("fault_outage_seconds")?,
+            dropped_in_outage: r.int("fault_dropped_in_outage")?,
+            crashes: r.int("fault_crashes")?,
+            down_seconds: r.f64("fault_down_seconds")?,
+            missed_updates: r.int("fault_missed_updates")?,
+            resync_quotes: r.int("fault_resync_quotes")?,
+            epoch_divergence: r.f64("fault_epoch_divergence")?,
+            stale_drops: r.int("fault_stale_drops")?,
+            superseded_retries: r.int("fault_superseded_retries")?,
         },
-    })
+    };
+    r.finish()?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -723,14 +846,27 @@ mod tests {
     #[test]
     fn non_finite_floats_only_decode_through_the_bit_form() {
         let text = encode_report(&by_name("small").unwrap().quick().run());
+        let spec_text = encode(&by_name("small").unwrap()).unwrap();
         // Textual NaN / inf / overflowing decimals must be rejected: the
         // only legal spelling of a non-finite value is the explicit `!x`
         // bit pattern, so a sloppy producer can't silently smuggle one in.
+        // Specs and reports share the one spelling.
         for bad in ["NaN", "inf", "-inf", "infinity", "1e999"] {
             let mangled = replace_field_value(&text, "mean_queue_wait", bad);
             let err = decode_report(&mangled).unwrap_err();
             assert!(err.contains("mean_queue_wait"), "{bad}: {err}");
+            let mangled = replace_field_value(&spec_text, "measure", bad);
+            let err = decode(&mangled).unwrap_err();
+            assert!(err.contains("measure"), "{bad}: {err}");
         }
+        // A non-finite spec value round-trips through the bit form.
+        let endless = ScenarioSpec {
+            measure: f64::INFINITY,
+            ..by_name("small").unwrap()
+        };
+        let endless_text = encode(&endless).unwrap();
+        assert!(endless_text.contains("measure !x7ff0000000000000"));
+        assert_eq!(decode(&endless_text).unwrap().measure, f64::INFINITY);
         // The bit form itself round-trips a quiet NaN.
         let nan_text = replace_field_value(&text, "mean_queue_wait", "!x7ff8000000000000");
         assert!(decode_report(&nan_text).unwrap().mean_queue_wait.is_nan());
@@ -762,6 +898,30 @@ mod tests {
         assert!(err.contains("updates_processed"), "{err}");
         let mangled = replace_field_value(&text, "refreshes_sent", "twelve");
         assert!(decode_report(&mangled).is_err());
+    }
+
+    #[test]
+    fn misspelled_repeated_and_extra_keys_are_rejected() {
+        // A misspelled optional key must not decode to its default: the
+        // far side would simulate a fault-blind regime.
+        let text = encode(&by_name("lossy_aware_medium").unwrap()).unwrap();
+        assert!(text.contains("fault_aware true"), "{text}");
+        let err = decode(&text.replace("fault_aware true", "fault_awre true")).unwrap_err();
+        assert!(err.contains("fault_awre"), "{err}");
+        // A repeated key is an error, not "the first one wins".
+        let seed_line = text.lines().find(|l| l.starts_with("seed ")).unwrap();
+        let twice = text.replacen(seed_line, &format!("{seed_line}\nseed 999"), 1);
+        let err = decode(&twice).unwrap_err();
+        assert!(err.contains("duplicate key `seed`"), "{err}");
+        // A key the spec's kind does not use is unexpected.
+        let err = decode(&format!("{text}psi 0.5\n")).unwrap_err();
+        assert!(err.contains("psi"), "{err}");
+        // Reports: the same for an extra and a repeated key.
+        let report = encode_report(&by_name("small").unwrap().quick().run());
+        let err = decode_report(&format!("{report}bogus 1\n")).unwrap_err();
+        assert!(err.contains("unexpected key `bogus`"), "{err}");
+        let err = decode_report(&format!("{report}polls_sent 0\n")).unwrap_err();
+        assert!(err.contains("duplicate key `polls_sent`"), "{err}");
     }
 
     /// Replaces `key`'s value in an encoded key-value text.
@@ -875,5 +1035,13 @@ mod tests {
             ..by_name("small").unwrap()
         };
         assert!(encode(&spec).is_err());
+        // Edge whitespace would come back trimmed.
+        for description in [" lead", "trail ", "tab\t"] {
+            let spec = ScenarioSpec {
+                description: description.into(),
+                ..by_name("small").unwrap()
+            };
+            assert!(encode(&spec).is_err(), "{description:?}");
+        }
     }
 }

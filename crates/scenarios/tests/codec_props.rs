@@ -5,6 +5,8 @@
 //! directions of `besync_scenarios::codec` must (a) round-trip every
 //! representable value bit for bit and (b) turn arbitrary garbage into a
 //! structured `Err` — never a panic that would take down the supervisor.
+//! The two checked-in baselines (`StatBaseline`, `BenchRun`) are read by
+//! the same reader and held to the same properties.
 
 use besync::cache::partition::SharePolicy;
 use besync::fault::{FaultProfile, FaultSummary, RecoveryPolicy};
@@ -15,6 +17,7 @@ use besync_data::Metric;
 use besync_scenarios::codec::{decode, decode_report, encode, encode_report};
 use besync_scenarios::{ScenarioSpec, SystemKind, WorkloadKind};
 use besync_sim::stats::{RawRunningStats, RunningStats};
+use besync_verify::{BenchRun, BenchScenario, ScenarioStats, StatBaseline};
 use besync_workloads::buoy::BuoyConfig;
 use proptest::prelude::*;
 
@@ -298,6 +301,149 @@ fn report() -> impl Strategy<Value = RunReport> {
         )
 }
 
+fn running_stats() -> impl Strategy<Value = RunningStats> {
+    (0u64..1_000, any_f64(), any_f64(), any_f64(), any_f64()).prop_map(
+        |(count, mean, m2, min, max)| {
+            RunningStats::from_raw(RawRunningStats {
+                count,
+                mean,
+                m2,
+                min,
+                max,
+            })
+        },
+    )
+}
+
+/// Stats baselines with unique `(scenario, scale)` entries and unique
+/// metric names per entry — the only ones `decode` accepts.
+fn stat_baseline() -> impl Strategy<Value = StatBaseline> {
+    let entry = (
+        name(),
+        prop::bool::ANY,
+        prop::collection::vec((name(), running_stats()), 0..4),
+    )
+        .prop_map(|(scenario, quick, mut metrics)| {
+            let mut seen = Vec::new();
+            metrics.retain(|(n, _)| {
+                !seen.contains(n) && {
+                    seen.push(n.clone());
+                    true
+                }
+            });
+            ScenarioStats {
+                scenario,
+                quick,
+                metrics,
+            }
+        });
+    prop::collection::vec(entry, 0..4).prop_map(|entries| {
+        let mut baseline = StatBaseline::default();
+        entries.into_iter().for_each(|e| baseline.upsert(e));
+        baseline
+    })
+}
+
+fn bench_scenario() -> impl Strategy<Value = BenchScenario> {
+    (
+        (name(), 0u64..=u64::MAX, name(), 0u32..=u32::MAX, name()),
+        (any_f64(), any_f64(), 0u64..=u64::MAX, any_f64()),
+        (
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+        ),
+        (any_f64(), 0u64..=u64::MAX),
+    )
+        .prop_map(
+            |(
+                (name, seed, system, objects, metric),
+                (build_seconds, wall_seconds, events, events_per_sec),
+                (updates, refreshes_sent, refreshes_delivered, feedback),
+                (mean_divergence, alloc_peak_bytes),
+            )| BenchScenario {
+                name,
+                seed,
+                system,
+                objects,
+                metric,
+                build_seconds,
+                wall_seconds,
+                events,
+                events_per_sec,
+                updates,
+                refreshes_sent,
+                refreshes_delivered,
+                feedback,
+                mean_divergence,
+                alloc_peak_bytes,
+            },
+        )
+}
+
+/// Bench runs with unique scenario names — the only ones `decode`
+/// accepts.
+fn bench_run() -> impl Strategy<Value = BenchRun> {
+    (
+        (
+            prop::bool::ANY,
+            any_f64(),
+            0u32..=u32::MAX,
+            any_f64(),
+            any_f64(),
+        ),
+        prop::collection::vec(bench_scenario(), 0..4),
+    )
+        .prop_map(
+            |((quick, calibration_seconds, objects, newton, bisect), mut scenarios)| {
+                let mut seen = Vec::new();
+                scenarios.retain(|s| {
+                    !seen.contains(&s.name) && {
+                        seen.push(s.name.clone());
+                        true
+                    }
+                });
+                BenchRun {
+                    quick,
+                    calibration_seconds,
+                    cgm_alloc_objects: objects,
+                    cgm_alloc_newton_seconds: newton,
+                    cgm_alloc_bisect_seconds: bisect,
+                    scenarios,
+                }
+            },
+        )
+}
+
+/// Every key a spec or report can carry. A line with any other key must
+/// make decoding fail.
+#[rustfmt::skip]
+const KNOWN_KEYS: &[&str] = &[
+    "name", "description", "seed", "sim_seed", "system", "workload", "sources",
+    "objects_per_source", "rate_lo", "rate_hi", "weight_lo", "weight_hi", "fluctuating_weights",
+    "buoys", "components", "sample_interval", "duration", "reversion", "noise", "policy",
+    "estimator", "metric", "cache_bandwidth_mean", "source_bandwidth_mean",
+    "bandwidth_change_rate", "alpha", "omega", "warmup", "measure", "fault",
+    "fault_retransmit_deadline", "fault_loss_prob", "fault_outage_rate",
+    "fault_outage_duration", "fault_outage_drops_queue", "fault_crash_rate",
+    "fault_crash_downtime", "fault_aware", "psi", "share_policy", "objects", "total_unweighted",
+    "total_weighted", "mean_unweighted", "mean_weighted", "max_unweighted", "refreshes_applied",
+    "refreshes_sent", "refreshes_delivered", "feedback_messages", "polls_sent",
+    "max_cache_queue", "mean_queue_wait", "threshold_count", "threshold_mean", "threshold_m2",
+    "threshold_min", "threshold_max", "updates_processed", "fault_lost_refreshes",
+    "fault_retransmits", "fault_outages", "fault_outage_seconds", "fault_dropped_in_outage",
+    "fault_crashes", "fault_down_seconds", "fault_missed_updates", "fault_resync_quotes",
+    "fault_epoch_divergence", "fault_stale_drops", "fault_superseded_retries",
+];
+
+/// Inserts `line` after the header, at a position drawn from `at`.
+fn insert_line(text: &str, at: usize, line: &str) -> String {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.insert(1 + at % lines.len(), line);
+    lines.join("\n")
+}
+
 /// Mutilates `text` deterministically from `(kind, a, b)` draws.
 fn garble(text: &str, kind: u8, a: usize, b: u8) -> String {
     let mut bytes = text.as_bytes().to_vec();
@@ -324,8 +470,8 @@ fn garble(text: &str, kind: u8, a: usize, b: u8) -> String {
                 .collect();
             bytes = keep.join("\n").into_bytes();
         }
-        // Duplicate one line (first occurrence wins on decode; must not
-        // panic either way).
+        // Duplicate one line (a repeated key is an error; a repeated
+        // block line may still decode; must not panic either way).
         3 => {
             let lines: Vec<&str> = text.lines().collect();
             let mut out: Vec<&str> = Vec::with_capacity(lines.len() + 1);
@@ -373,7 +519,8 @@ proptest! {
         let _ = decode(&mangled);
     }
 
-    /// Pure garbage (no structure at all) errors, never panics.
+    /// Pure garbage (no structure at all) errors, never panics — with
+    /// and without a valid header line in front of it.
     #[test]
     fn arbitrary_bytes_never_panic_spec_decoder(
         bytes in prop::collection::vec(0u8..128, 0..400),
@@ -381,6 +528,67 @@ proptest! {
         let text: String = bytes.into_iter().map(|b| b as char).collect();
         let _ = decode(&text);
         let _ = decode_report(&text);
+        let _ = StatBaseline::decode(&text);
+        let _ = BenchRun::decode(&text);
+        for header in ["besync-scenario v1", "besync-report v1", "besync-stats v1", "besync-bench v6"] {
+            let text = format!("{header}\n{text}");
+            let _ = decode(&text);
+            let _ = decode_report(&text);
+            let _ = StatBaseline::decode(&text);
+            let _ = BenchRun::decode(&text);
+        }
+    }
+
+    /// A line with a key no decoder field takes makes a spec or a
+    /// report fail to decode, wherever it is inserted: a misspelled key
+    /// is never silently ignored.
+    #[test]
+    fn unknown_key_lines_are_rejected(
+        spec in scenario(),
+        r in report(),
+        key in name(),
+        value in name(),
+        at in 0usize..10_000,
+    ) {
+        if !KNOWN_KEYS.contains(&key.as_str()) {
+            let line = format!("{key} {value}");
+            let err = decode(&insert_line(&encode(&spec).unwrap(), at, &line)).unwrap_err();
+            prop_assert!(err.contains(&key), "{}", err);
+            let err = decode_report(&insert_line(&encode_report(&r), at, &line)).unwrap_err();
+            prop_assert!(err.contains(&key), "{}", err);
+        }
+    }
+
+    /// Random stats baselines — every float bit pattern included —
+    /// re-encode to the exact text they were decoded from.
+    #[test]
+    fn random_stat_baselines_round_trip(b in stat_baseline()) {
+        let text = b.encode();
+        let back = StatBaseline::decode(&text).expect("encoded baselines decode");
+        prop_assert_eq!(back.encode(), text);
+    }
+
+    /// Random bench runs round-trip field for field (NaN-free fields
+    /// compare with `==`; the text fixpoint covers every bit).
+    #[test]
+    fn random_bench_runs_round_trip(run in bench_run()) {
+        let text = run.encode();
+        let back = BenchRun::decode(&text).expect("encoded runs decode");
+        prop_assert_eq!(back.encode(), text);
+        prop_assert_eq!(back.scenarios.len(), run.scenarios.len());
+    }
+
+    /// Garbled baselines never panic their decoders.
+    #[test]
+    fn garbled_baselines_never_panic(
+        b in stat_baseline(),
+        run in bench_run(),
+        kind in 0u8..=255,
+        a in 0usize..10_000,
+        c in 0u8..=255,
+    ) {
+        let _ = StatBaseline::decode(&garble(&b.encode(), kind, a, c));
+        let _ = BenchRun::decode(&garble(&run.encode(), kind, a, c));
     }
 
     /// Random reports — every counter and every f64 bit pattern,

@@ -1,9 +1,8 @@
-//! The stored side of statistical acceptance: a line-based text format
-//! for per-scenario metric moments, checked in at the repo root
-//! (`STATS_baseline.txt`) the way `BENCH_pr*.json` stores throughput
-//! trajectories.
-//!
-//! The format is deliberately serde-free and diff-friendly:
+//! The two checked-in baselines, both in the codec's one text format
+//! ([`besync_scenarios::codec`]): `STATS_baseline.txt`, the per-scenario
+//! metric moments of statistical acceptance, and `BENCH_baseline.txt`,
+//! the bench counter baseline that `besync-bench --out` writes and
+//! `--compare` checks. Both are diff-friendly `scenario` … `end` blocks:
 //!
 //! ```text
 //! besync-stats v1
@@ -11,20 +10,38 @@
 //! metric mean_divergence 32 <mean> <m2> <min> <max>
 //! metric updates_processed 32 <mean> <m2> <min> <max>
 //! end
-//! scenario medium quick seeds=16
+//!
+//! besync-bench v6
+//! quick false
+//! calibration_seconds <s>
+//! ...
+//! scenario medium
+//! seed 202
+//! updates <n>
 //! ...
 //! end
 //! ```
 //!
-//! Floats use [`besync_scenarios::codec::fmt_f64`] — the same canonical
-//! round-trip spelling the sweep worker protocol uses — so a decoded
-//! baseline reproduces the recorded Welford state bit for bit (including
-//! the `±∞` min/max of an empty accumulator, via the `!x` form).
+//! Floats use [`fmt_f64`], so a decoded baseline reproduces the
+//! recorded values bit for bit (including the `±∞` min/max of an empty
+//! accumulator, via the `!x` form), and re-encoding it reproduces the
+//! file.
 
-use besync_scenarios::codec::{fmt_f64, parse_f64};
+use std::path::Path;
+
+use besync_scenarios::codec::{blocks, fmt_f64, parse_f64, read_lines, Line, Record, Writer};
 use besync_sim::stats::{RawRunningStats, RunningStats};
 
 const HEADER: &str = "besync-stats v1";
+
+const BENCH_HEADER: &str = "besync-bench v6";
+
+/// Reads and decodes a baseline file, naming the path in any error.
+fn load<T>(path: &Path, decode: fn(&str) -> Result<T, String>) -> Result<T, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("could not read {}: {e}", path.display()))?;
+    decode(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
 
 /// One scenario's recorded metric moments at one scale.
 ///
@@ -94,166 +111,390 @@ impl StatBaseline {
     /// whitespace-delimited tokens in the format; registry names never
     /// do).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
+        let mut w = Writer::new(HEADER);
         for e in &self.entries {
             assert!(
                 !e.scenario.contains(char::is_whitespace) && !e.scenario.is_empty(),
                 "scenario name {:?} is not a single token",
                 e.scenario
             );
-            out.push_str(&format!(
-                "scenario {} {} seeds={}\n",
-                e.scenario,
-                e.scale_word(),
-                e.seeds()
-            ));
+            let (scenario, scale, seeds) = (&e.scenario, e.scale_word(), e.seeds());
+            w.kv("scenario", format_args!("{scenario} {scale} seeds={seeds}"));
             for (name, stats) in &e.metrics {
                 assert!(
                     !name.contains(char::is_whitespace) && !name.is_empty(),
                     "metric name {name:?} is not a single token"
                 );
                 let raw = stats.to_raw();
-                out.push_str(&format!(
-                    "metric {} {} {} {} {} {}\n",
-                    name,
-                    raw.count,
-                    fmt_f64(raw.mean),
-                    fmt_f64(raw.m2),
-                    fmt_f64(raw.min),
-                    fmt_f64(raw.max)
-                ));
+                w.kv(
+                    "metric",
+                    format_args!(
+                        "{name} {} {} {} {} {}",
+                        raw.count,
+                        fmt_f64(raw.mean),
+                        fmt_f64(raw.m2),
+                        fmt_f64(raw.min),
+                        fmt_f64(raw.max)
+                    ),
+                );
             }
-            out.push_str("end\n");
+            w.end();
         }
-        out
+        w.finish()
     }
 
     /// Decodes [`StatBaseline::encode`]'s output, rejecting anything
     /// malformed with a line-numbered message.
     pub fn decode(text: &str) -> Result<StatBaseline, String> {
-        let mut lines = text.lines().enumerate();
-        let err = |ln: usize, msg: String| format!("stats baseline line {}: {}", ln + 1, msg);
-        match lines.next() {
-            Some((_, l)) if l.trim_end() == HEADER => {}
-            other => {
-                return Err(format!(
-                    "stats baseline must start with `{HEADER}`, got {:?}",
-                    other.map(|(_, l)| l)
-                ))
-            }
+        let (top, blocks) = blocks(read_lines(text, HEADER)?, "scenario")?;
+        if let Some(line) = top.first() {
+            return Err(line.error(format_args!("`{}` outside a scenario block", line.key)));
         }
         let mut baseline = StatBaseline::default();
-        let mut current: Option<ScenarioStats> = None;
-        for (ln, line) in lines {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
+        for (open, body) in blocks {
+            let (name, quick, seeds) = match open.value.split_whitespace().collect::<Vec<_>>()[..] {
+                [name, "full", seeds] => (name, false, seeds),
+                [name, "quick", seeds] => (name, true, seeds),
+                _ => return Err(open.error("expected `scenario NAME full|quick seeds=N`")),
+            };
+            if baseline.get(name, quick).is_some() {
+                return Err(open.error(format_args!("duplicate entry for `{}`", open.value)));
             }
-            let mut tokens = line.split_whitespace();
-            match tokens.next() {
-                Some("scenario") => {
-                    if current.is_some() {
-                        return Err(err(ln, "`scenario` before previous `end`".into()));
-                    }
-                    let name = tokens
-                        .next()
-                        .ok_or_else(|| err(ln, "missing scenario name".into()))?;
-                    let quick = match tokens.next() {
-                        Some("full") => false,
-                        Some("quick") => true,
-                        other => return Err(err(ln, format!("bad scale token {other:?}"))),
-                    };
-                    // seeds=N is a human-readability duplicate of the
-                    // per-metric counts; validated on `end`.
-                    let seeds_tok = tokens
-                        .next()
-                        .and_then(|t| t.strip_prefix("seeds="))
-                        .ok_or_else(|| err(ln, "missing seeds= token".into()))?;
-                    let _: u64 = seeds_tok
+            let mut entry = ScenarioStats {
+                scenario: name.to_string(),
+                quick,
+                metrics: Vec::new(),
+            };
+            for line in body {
+                let tokens: Vec<&str> = line.value.split_whitespace().collect();
+                let ("metric", &[metric, count, mean, m2, min, max]) = (line.key, &tokens[..])
+                else {
+                    return Err(line.error("expected `metric NAME COUNT MEAN M2 MIN MAX`"));
+                };
+                let num = |t: &str| {
+                    parse_f64(t).ok_or_else(|| line.error(format_args!("bad float {t:?}")))
+                };
+                let raw = RawRunningStats {
+                    count: count
                         .parse()
-                        .map_err(|_| err(ln, format!("bad seed count {seeds_tok:?}")))?;
-                    current = Some(ScenarioStats {
-                        scenario: name.to_string(),
-                        quick,
-                        metrics: Vec::new(),
-                    });
+                        .map_err(|_| line.error(format_args!("bad count {count:?}")))?,
+                    mean: num(mean)?,
+                    m2: num(m2)?,
+                    min: num(min)?,
+                    max: num(max)?,
+                };
+                if entry.metrics.iter().any(|(n, _)| n == metric) {
+                    return Err(line.error(format_args!("duplicate metric `{metric}`")));
                 }
-                Some("metric") => {
-                    let entry = current
-                        .as_mut()
-                        .ok_or_else(|| err(ln, "`metric` outside a scenario block".into()))?;
-                    let name = tokens
-                        .next()
-                        .ok_or_else(|| err(ln, "missing metric name".into()))?;
-                    let count = {
-                        let t = tokens
-                            .next()
-                            .ok_or_else(|| err(ln, "truncated metric line".into()))?;
-                        t.parse::<u64>()
-                            .map_err(|_| err(ln, format!("bad count {t:?}")))?
-                    };
-                    let mut num = || -> Result<f64, String> {
-                        let t = tokens
-                            .next()
-                            .ok_or_else(|| err(ln, "truncated metric line".into()))?;
-                        parse_f64(t).ok_or_else(|| err(ln, format!("bad float {t:?}")))
-                    };
-                    let (mean, m2, min, max) = (num()?, num()?, num()?, num()?);
-                    let raw = RawRunningStats {
-                        count,
-                        mean,
-                        m2,
-                        min,
-                        max,
-                    };
-                    if tokens.next().is_some() {
-                        return Err(err(ln, "trailing tokens on metric line".into()));
-                    }
-                    if entry.metrics.iter().any(|(n, _)| n == name) {
-                        return Err(err(ln, format!("duplicate metric `{name}`")));
-                    }
-                    entry
-                        .metrics
-                        .push((name.to_string(), RunningStats::from_raw(raw)));
-                }
-                Some("end") => {
-                    let entry = current
-                        .take()
-                        .ok_or_else(|| err(ln, "`end` outside a scenario block".into()))?;
-                    if baseline.get(&entry.scenario, entry.quick).is_some() {
-                        return Err(err(
-                            ln,
-                            format!(
-                                "duplicate entry for scenario `{}` ({})",
-                                entry.scenario,
-                                entry.scale_word()
-                            ),
-                        ));
-                    }
-                    baseline.entries.push(entry);
-                }
-                other => return Err(err(ln, format!("unknown directive {other:?}"))),
+                entry
+                    .metrics
+                    .push((metric.to_string(), RunningStats::from_raw(raw)));
             }
-        }
-        if current.is_some() {
-            return Err("stats baseline ends inside a scenario block".into());
+            // seeds=N repeats the first metric's count for readers of
+            // the file; a disagreeing copy is an error, not a comment.
+            if seeds.strip_prefix("seeds=") != Some(&entry.seeds().to_string()) {
+                return Err(open.error(format_args!(
+                    "`{seeds}` disagrees with the metrics' count {}",
+                    entry.seeds()
+                )));
+            }
+            baseline.entries.push(entry);
         }
         Ok(baseline)
     }
 
     /// Reads and decodes a baseline file.
-    pub fn load(path: &std::path::Path) -> Result<StatBaseline, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("could not read {}: {e}", path.display()))?;
-        Self::decode(&text).map_err(|e| format!("{}: {e}", path.display()))
+    pub fn load(path: &Path) -> Result<StatBaseline, String> {
+        load(path, Self::decode)
     }
 
     /// Encodes and writes the baseline to a file.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), String> {
+    pub fn save(&self, path: &Path) -> Result<(), String> {
         std::fs::write(path, self.encode())
             .map_err(|e| format!("could not write {}: {e}", path.display()))
+    }
+}
+
+/// One scenario's row of a `besync-bench` run: the deterministic
+/// counters the `--compare` gate pins, plus the timings and allocation
+/// peak it reports.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchScenario {
+    pub name: String,
+    /// Rows of two runs pair only under equal names and seeds.
+    pub seed: u64,
+    pub system: String,
+    pub objects: u32,
+    pub metric: String,
+    /// Median workload + system construction time, kept out of the
+    /// throughput figure.
+    pub build_seconds: f64,
+    /// Median event-loop wall clock.
+    pub wall_seconds: f64,
+    /// Updates + refreshes (or CGM polls) sent + feedback messages.
+    pub events: u64,
+    pub events_per_sec: f64,
+    pub updates: u64,
+    pub refreshes_sent: u64,
+    pub refreshes_delivered: u64,
+    pub feedback: u64,
+    pub mean_divergence: f64,
+    /// Heap high-water mark of one repeat.
+    pub alloc_peak_bytes: u64,
+}
+
+/// A `besync-bench` run as `--out` writes it and `--compare` reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRun {
+    /// Whether the scenarios ran at quick (CI smoke) scale.
+    pub quick: bool,
+    /// Wall clock of the bench's fixed floating-point workload, so two
+    /// recordings' throughputs can be set against machine speed.
+    pub calibration_seconds: f64,
+    /// Objects in the CGM re-allocation A/B.
+    pub cgm_alloc_objects: u32,
+    /// The shipped Newton re-allocation's best time.
+    pub cgm_alloc_newton_seconds: f64,
+    /// The retired double bisection's best time.
+    pub cgm_alloc_bisect_seconds: f64,
+    /// One row per scenario, in run order.
+    pub scenarios: Vec<BenchScenario>,
+}
+
+impl BenchRun {
+    /// Encodes the canonical text form.
+    pub fn encode(&self) -> String {
+        let mut w = Writer::new(BENCH_HEADER);
+        w.kv("quick", self.quick);
+        w.f64("calibration_seconds", self.calibration_seconds);
+        w.kv("cgm_alloc_objects", self.cgm_alloc_objects);
+        w.f64("cgm_alloc_newton_seconds", self.cgm_alloc_newton_seconds);
+        w.f64("cgm_alloc_bisect_seconds", self.cgm_alloc_bisect_seconds);
+        for s in &self.scenarios {
+            w.kv("scenario", &s.name);
+            w.kv("seed", s.seed);
+            w.kv("system", &s.system);
+            w.kv("objects", s.objects);
+            w.kv("metric", &s.metric);
+            w.f64("build_seconds", s.build_seconds);
+            w.f64("wall_seconds", s.wall_seconds);
+            w.kv("events", s.events);
+            w.f64("events_per_sec", s.events_per_sec);
+            w.kv("updates", s.updates);
+            w.kv("refreshes_sent", s.refreshes_sent);
+            w.kv("refreshes_delivered", s.refreshes_delivered);
+            w.kv("feedback", s.feedback);
+            w.f64("mean_divergence", s.mean_divergence);
+            w.kv("alloc_peak_bytes", s.alloc_peak_bytes);
+            w.end();
+        }
+        w.finish()
+    }
+
+    /// Decodes [`BenchRun::encode`]'s output, rejecting anything
+    /// malformed, missing, repeated or unexpected with a line-numbered
+    /// message.
+    pub fn decode(text: &str) -> Result<BenchRun, String> {
+        let (top, blocks) = blocks(read_lines(text, BENCH_HEADER)?, "scenario")?;
+        let mut scenarios: Vec<BenchScenario> = Vec::with_capacity(blocks.len());
+        for (open, body) in blocks {
+            let name = open.value;
+            if name.is_empty() || scenarios.iter().any(|s| s.name == name) {
+                return Err(open.error(format_args!("missing or duplicate scenario `{name}`")));
+            }
+            let row = decode_row(name, body)
+                .map_err(|e| open.error(format_args!("scenario `{name}`: {e}")))?;
+            scenarios.push(row);
+        }
+        let mut r = Record::new(top)?;
+        let run = BenchRun {
+            quick: r.bool("quick")?,
+            calibration_seconds: r.f64("calibration_seconds")?,
+            cgm_alloc_objects: r.int("cgm_alloc_objects")?,
+            cgm_alloc_newton_seconds: r.f64("cgm_alloc_newton_seconds")?,
+            cgm_alloc_bisect_seconds: r.f64("cgm_alloc_bisect_seconds")?,
+            scenarios,
+        };
+        r.finish()?;
+        Ok(run)
+    }
+
+    /// Reads and decodes a bench baseline file.
+    pub fn load(path: &Path) -> Result<BenchRun, String> {
+        load(path, Self::decode)
+    }
+}
+
+/// Decodes one `scenario` block's body of a bench baseline.
+fn decode_row(name: &str, body: Vec<Line<'_>>) -> Result<BenchScenario, String> {
+    let mut r = Record::new(body)?;
+    let row = BenchScenario {
+        name: name.to_string(),
+        seed: r.int("seed")?,
+        system: r.line("system")?.value.to_string(),
+        objects: r.int("objects")?,
+        metric: r.line("metric")?.value.to_string(),
+        build_seconds: r.f64("build_seconds")?,
+        wall_seconds: r.f64("wall_seconds")?,
+        events: r.int("events")?,
+        events_per_sec: r.f64("events_per_sec")?,
+        updates: r.int("updates")?,
+        refreshes_sent: r.int("refreshes_sent")?,
+        refreshes_delivered: r.int("refreshes_delivered")?,
+        feedback: r.int("feedback")?,
+        mean_divergence: r.f64("mean_divergence")?,
+        alloc_peak_bytes: r.int("alloc_peak_bytes")?,
+    };
+    r.finish()?;
+    Ok(row)
+}
+
+/// The `--compare` gate: checks the `current` run against a recorded
+/// `baseline`. Scenarios pair by name and seed. A paired scenario whose
+/// counters differ, or whose mean divergence moved by 1e-8 or more, means
+/// the tree lost determinism. Events/sec and allocation-peak deltas
+/// beyond `tolerance` are printed to stderr and never fail: timing noise
+/// must not fail a change.
+///
+/// Returns the number of scenarios compared.
+///
+/// # Errors
+///
+/// Returns one message per mismatching scenario, or one message when no
+/// scenario was compared at all (a quick/full mismatch, disjoint names or
+/// changed seeds): a gate that checked nothing must not pass.
+pub fn compare_against_baseline(
+    current: &BenchRun,
+    baseline: &BenchRun,
+    baseline_path: &str,
+    tolerance: f64,
+) -> Result<usize, Vec<String>> {
+    if baseline.quick != current.quick {
+        return Err(vec![format!(
+            "baseline {baseline_path} was recorded with quick={}, this run uses quick={}; \
+             counters are incomparable",
+            baseline.quick, current.quick
+        )]);
+    }
+    // Machine-speed ratio between the two recordings: > 1 means this
+    // container is slower than the one the baseline was recorded on, and
+    // raw events/sec deltas by that factor are container drift, not tree
+    // regressions.
+    let (cur, base) = (current.calibration_seconds, baseline.calibration_seconds);
+    let cal_ratio = (cur > 0.0 && base > 0.0).then(|| cur / base);
+    if let Some(ratio) = cal_ratio {
+        eprintln!(
+            "compare: calibration {cur:.3}s vs {base:.3}s in {baseline_path} — this \
+             container runs the fixed FP workload {ratio:.2}x the baseline's wall-clock"
+        );
+    }
+    // Baseline rows with no current counterpart mean coverage shrank
+    // (a renamed/removed scenario) — say so instead of silently gating
+    // less than the checked-in file records.
+    for b in &baseline.scenarios {
+        if !current.scenarios.iter().any(|r| r.name == b.name) {
+            eprintln!(
+                "compare: baseline scenario `{}` not in this run (renamed or filtered?); \
+                 its counters were not checked",
+                b.name
+            );
+        }
+    }
+    let mut compared = 0;
+    let mut mismatches = Vec::new();
+    for r in &current.scenarios {
+        let Some(b) = baseline.scenarios.iter().find(|b| b.name == r.name) else {
+            eprintln!("compare: `{}` absent from baseline, skipping", r.name);
+            continue;
+        };
+        if b.seed != r.seed {
+            eprintln!(
+                "compare: `{}` seed changed ({} -> {}), skipping",
+                r.name, b.seed, r.seed
+            );
+            continue;
+        }
+        compared += 1;
+        let counters_match = b.updates == r.updates
+            && b.refreshes_sent == r.refreshes_sent
+            && b.refreshes_delivered == r.refreshes_delivered
+            && b.feedback == r.feedback
+            && (b.mean_divergence - r.mean_divergence).abs() < 1e-8;
+        if !counters_match {
+            mismatches.push(format!(
+                "`{}`: counters diverge from {baseline_path} — baseline \
+                 (updates {}, sent {}, delivered {}, feedback {}, div {:.9}) vs current \
+                 (updates {}, sent {}, delivered {}, feedback {}, div {:.9})",
+                r.name,
+                b.updates,
+                b.refreshes_sent,
+                b.refreshes_delivered,
+                b.feedback,
+                b.mean_divergence,
+                r.updates,
+                r.refreshes_sent,
+                r.refreshes_delivered,
+                r.feedback,
+                r.mean_divergence,
+            ));
+            continue;
+        }
+        let ratio = r.events_per_sec / b.events_per_sec.max(1e-12);
+        // `ratio * cal_ratio` discounts container speed drift; without a
+        // calibration point on both sides the raw ratio is all there is.
+        let adjusted = cal_ratio.map(|c| ratio * c);
+        let adj_note = adjusted.map_or(String::new(), |a| format!(", {a:.2}x adjusted"));
+        if adjusted.unwrap_or(ratio) < 1.0 - tolerance {
+            eprintln!(
+                "compare: PERF REGRESSION (report-only) `{}`: {:.0} events/sec vs baseline \
+                 {:.0} ({:.2}x{adj_note}, tolerance {:.0}%)",
+                r.name,
+                r.events_per_sec,
+                b.events_per_sec,
+                ratio,
+                tolerance * 100.0
+            );
+        } else {
+            eprintln!(
+                "compare: `{}` {:.2}x baseline events/sec{adj_note} (ok)",
+                r.name, ratio
+            );
+        }
+        // Memory trajectory, report-only like the perf line: allocation
+        // peaks are deterministic in principle but allocator-version
+        // sensitive, so they inform rather than gate.
+        if b.alloc_peak_bytes > 0 {
+            let mem_ratio = r.alloc_peak_bytes as f64 / b.alloc_peak_bytes as f64;
+            let mb = 1.0 / (1024.0 * 1024.0);
+            if mem_ratio > 1.0 + tolerance {
+                eprintln!(
+                    "compare: MEM REGRESSION (report-only) `{}`: alloc peak {:.1} MiB vs \
+                     baseline {:.1} MiB ({:.2}x, tolerance {:.0}%)",
+                    r.name,
+                    r.alloc_peak_bytes as f64 * mb,
+                    b.alloc_peak_bytes as f64 * mb,
+                    mem_ratio,
+                    tolerance * 100.0
+                );
+            } else {
+                eprintln!(
+                    "compare: `{}` alloc peak {:.1} MiB, {:.2}x baseline (ok)",
+                    r.name,
+                    r.alloc_peak_bytes as f64 * mb,
+                    mem_ratio
+                );
+            }
+        }
+    }
+    if !mismatches.is_empty() {
+        Err(mismatches)
+    } else if compared == 0 {
+        Err(vec![format!(
+            "no scenario of this run pairs with one in {baseline_path} by name and seed; \
+             nothing was compared"
+        )])
+    } else {
+        Ok(compared)
     }
 }
 
@@ -365,13 +606,118 @@ mod tests {
                 good.replacen("metric updates_processed", "metric mean_divergence", 1),
                 "duplicate metric",
             ),
+            (
+                good.replacen("seeds=3", "seeds=4", 1),
+                "seed count disagreeing",
+            ),
         ] {
-            assert!(StatBaseline::decode(&mutation).is_err(), "accepted {why}");
+            let err = StatBaseline::decode(&mutation).expect_err(why);
+            assert!(
+                why == "bad header" || err.starts_with("line "),
+                "{why}: {err}"
+            );
         }
         // Duplicate (scenario, scale) entries are rejected too.
         let mut dup = sample_baseline();
         let first = dup.entries[0].clone();
         dup.entries.push(first);
         assert!(StatBaseline::decode(&dup.encode()).is_err());
+    }
+
+    fn row(name: &str, updates: u64, mean_divergence: f64) -> BenchScenario {
+        BenchScenario {
+            name: name.into(),
+            seed: 202,
+            system: "coop".into(),
+            objects: 2048,
+            metric: "staleness".into(),
+            build_seconds: 0.001,
+            wall_seconds: 0.25,
+            events: updates + 30,
+            events_per_sec: (updates + 30) as f64 / 0.25,
+            updates,
+            refreshes_sent: 20,
+            refreshes_delivered: 19,
+            feedback: 10,
+            mean_divergence,
+            alloc_peak_bytes: 1 << 20,
+        }
+    }
+
+    fn sample_run() -> BenchRun {
+        BenchRun {
+            quick: false,
+            calibration_seconds: 0.015958,
+            cgm_alloc_objects: 2048,
+            cgm_alloc_newton_seconds: 0.004703,
+            cgm_alloc_bisect_seconds: 0.130652,
+            scenarios: vec![row("medium", 870_123, 0.1 + 0.2), row("small", 46_428, 0.7)],
+        }
+    }
+
+    #[test]
+    fn bench_runs_round_trip_bit_for_bit() {
+        let run = sample_run();
+        let text = run.encode();
+        assert_eq!(BenchRun::decode(&text).unwrap(), run);
+        // An unexpected, repeated or missing key names itself.
+        for (mutation, key) in [
+            (text.replacen("feedback", "fedback", 1), "feedback"),
+            (
+                text.replacen("seed 202\n", "seed 202\nbogus 1\n", 1),
+                "bogus",
+            ),
+            (
+                text.replacen("seed 202\n", "seed 202\nseed 202\n", 1),
+                "seed",
+            ),
+            (text.replacen("quick false\n", "", 1), "quick"),
+        ] {
+            let err = BenchRun::decode(&mutation).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
+        let mut dup = sample_run();
+        dup.scenarios.push(row("medium", 1, 0.5));
+        assert!(BenchRun::decode(&dup.encode()).is_err());
+    }
+
+    #[test]
+    fn compare_gates_counters_and_fails_when_nothing_was_compared() {
+        let base = sample_run();
+        assert_eq!(compare_against_baseline(&base, &base, "b", 0.25), Ok(2));
+        // Timing is report-only; divergence may move within 1e-8.
+        let mut cur = sample_run();
+        cur.scenarios[0].events_per_sec /= 10.0;
+        cur.scenarios[0].alloc_peak_bytes *= 10;
+        cur.scenarios[1].mean_divergence += 5e-9;
+        assert_eq!(compare_against_baseline(&cur, &base, "b", 0.25), Ok(2));
+        // Any one counter, or divergence beyond 1e-8, hard-fails.
+        for edit in [
+            |r: &mut BenchScenario| r.updates += 1,
+            |r: &mut BenchScenario| r.refreshes_sent += 1,
+            |r: &mut BenchScenario| r.refreshes_delivered -= 1,
+            |r: &mut BenchScenario| r.feedback += 1,
+            |r: &mut BenchScenario| r.mean_divergence += 2e-8,
+        ] {
+            let mut cur = sample_run();
+            edit(&mut cur.scenarios[1]);
+            let err = compare_against_baseline(&cur, &base, "b", 0.25).unwrap_err();
+            assert!(err.len() == 1 && err[0].contains("small"), "{err:?}");
+        }
+        // A run filtered to one scenario checks that one.
+        let mut one = sample_run();
+        one.scenarios.truncate(1);
+        assert_eq!(compare_against_baseline(&one, &base, "b", 0.25), Ok(1));
+        // A gate that compared nothing fails: quick vs full, no shared
+        // name, or only changed seeds.
+        let mut quick = sample_run();
+        quick.quick = true;
+        let mut renamed = sample_run();
+        renamed.scenarios.iter_mut().for_each(|r| r.name.push('x'));
+        let mut reseeded = sample_run();
+        reseeded.scenarios.iter_mut().for_each(|r| r.seed += 1);
+        for cur in [quick, renamed, reseeded] {
+            assert!(compare_against_baseline(&cur, &base, "b", 0.25).is_err());
+        }
     }
 }

@@ -26,8 +26,9 @@
 //!   [`CheckReport`] per metric: an unpaired z-test on means plus a
 //!   log-ratio test on variances.
 //! * [`baseline`] gives the stats a canonical text form
-//!   (`STATS_baseline.txt` at the repo root) using the codec's
-//!   round-trip `f64` spelling.
+//!   (`STATS_baseline.txt` at the repo root) in the codec's one text
+//!   format; the bench counter baseline (`BENCH_baseline.txt`) and its
+//!   `--compare` gate live there too.
 //!
 //! The mean test is deliberately *unpaired* even though both sides use
 //! the same derived seeds: parameter draws (rates, weights) are shared
@@ -43,7 +44,9 @@ use besync_scenarios::ScenarioSpec;
 use besync_sim::stats::RunningStats;
 use besync_sweep::{sweep, SweepError, SweepOptions};
 
-pub use baseline::{ScenarioStats, StatBaseline};
+pub use baseline::{
+    compare_against_baseline, BenchRun, BenchScenario, ScenarioStats, StatBaseline,
+};
 
 /// How tight the acceptance gate is.
 ///

@@ -1,7 +1,8 @@
 //! Distribution-level acceptance gates against `STATS_baseline.txt`.
 //!
-//! These are the tier-2 companions to the bit-identity goldens in
-//! `golden_report.rs`: instead of demanding one trajectory match
+//! These are the tier-2 companions to the bit-identity gates (the
+//! goldens in `golden_report.rs` and `besync-bench --compare
+//! BENCH_baseline.txt`): instead of demanding one trajectory match
 //! byte-for-byte, each test re-runs a scenario across a set of derived
 //! seeds and z-checks the metric moments (mean divergence, updates,
 //! refreshes) against the moments stored in the baseline. An
@@ -22,12 +23,13 @@
 //!   cargo test --release --test stats_acceptance -- --ignored
 //!   ```
 //!
+//! `besync-bench verify` is the same gate on the command line.
 //! Re-record after a *deliberate, statistically justified* physics
 //! change with:
 //!
 //! ```text
-//! besync-bench verify --accept stats --seeds 8  --quick --record
-//! besync-bench verify --accept stats --seeds 32 --record
+//! besync-bench verify --seeds 8  --quick --record
+//! besync-bench verify --seeds 32 --record
 //! ```
 
 use besync_scenarios::by_name;
